@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import tmd
-from .graphs import graph_key
+from .graphs import DatasetFormatError, graph_key
 from .ot import solve_transport
 from .schedule import TmdConfig
 
@@ -178,15 +178,30 @@ def save_distance_csv(path, dm, extra=None):
 
 
 def load_distance_csv(path):
+    """Read a matrix in the `save_distance_csv` layout; the header is optional.
+
+    Raises DatasetFormatError naming `path:line` for a token that is not a
+    float or a row whose length differs from the first row's.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     header = None
-    if lines and lines[0].startswith("# config:"):
-        header = json.loads(lines[0][len("# config:"):])
-        lines = lines[1:]
-    rows = [
-        [float(tok) for tok in ln.split(",")] for ln in lines if ln.strip()
-    ]
+    rows = []
+    for lineno, ln in enumerate(lines, start=1):
+        if lineno == 1 and ln.startswith("# config:"):
+            header = json.loads(ln[len("# config:"):])
+            continue
+        if not ln.strip():
+            continue
+        try:
+            row = [float(tok) for tok in ln.split(",")]
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise DatasetFormatError(
+                f"{path}:{lineno}: {len(row)} values, the first row has {len(rows[0])}"
+            )
+        rows.append(row)
     values = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, 0))
     if header is not None:
         cfg = (TmdConfig.from_json(header["config"])

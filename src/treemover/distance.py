@@ -15,6 +15,16 @@ where the children OT uses dist_{k-1} entries, pads the smaller neighbour
 multiset with blank trees (all-zero features, no children), and prices a
 real tree against a blank at that tree's norm. Mode "mean" divides every
 transport value by the padded multiset size.
+
+The blank row and column of a table double as the padding index: a
+neighbour list padded with the blank index (n_a on the a-side, n_b on the
+b-side) gathers exactly the padded child cost matrix, with norms against
+blanks and 0 for blank against blank. Node pairs are grouped by padded size
+once per graph pair, so each depth makes one gather per size and one
+assignment per pair whose nodes both have neighbours. Tree norms come from
+the recursion behind `tree_norm_levels`, which sums neighbour norms per
+exact degree (never over zero-padded rows), so every sum runs over the same
+values in the same order as a per-node loop.
 """
 
 from __future__ import annotations
@@ -23,11 +33,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .graphs import graph_key
-from .ot import _augmented_cost
-from .schedule import TmdConfig
+from .schedule import ConfigError, TmdConfig
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,86 @@ def _warn_zero_features(g):
         )
 
 
-def _neighbor_arrays(g):
-    return [np.asarray(nb, dtype=np.intp) for nb in g.neighbors]
+def _neighbor_index(g):
+    """Degrees and the neighbour lists of g as one blank-padded matrix.
+
+    Row v holds v's neighbours in order, then the blank index n up to the
+    largest degree.
+    """
+    n = g.node_count
+    deg = np.fromiter((len(a) for a in g.neighbors), dtype=np.intp, count=n)
+    pad = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
+    pad[np.arange(pad.shape[1]) < deg[:, None]] = [v for a in g.neighbors for v in a]
+    return deg, pad
+
+
+def _norm_recursion(g, deg, pad, depth, cfg):
+    """Tree norms of every node at depths 1..depth, and their child terms.
+
+    Returns (levels, aggs): levels[k-1][v] is the norm of v's depth-k tree,
+    aggs[k-2][v] the (mode-scaled) sum of its children's depth-(k-1) norms,
+    which is also the child transport of v's tree against a leaf's. Norms
+    that overflow come back as inf, without a warning.
+    """
+    mean = cfg.mode == "mean"
+    buckets = [(nodes, pad[nodes, :d], d)
+               for d in np.unique(deg[deg > 0])
+               for nodes in [np.flatnonzero(deg == d)]]
+    with np.errstate(over="ignore"):
+        base = np.linalg.norm(g.features, axis=1)
+        levels, aggs = [base], []
+        for k in range(2, depth + 1):
+            w = cfg.schedule.weight(k - 1)
+            prev = levels[-1]
+            agg = np.zeros_like(base)
+            for nodes, nbrs, d in buckets:
+                total = prev[nbrs].sum(axis=1)
+                agg[nodes] = total / d if mean else total
+            levels.append(base + w * agg)
+            aggs.append(agg)
+    return levels, aggs
+
+
+def _check_finite(values, depth, cfg):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"tree distances overflow at depth {depth} under schedule "
+            f"{cfg.schedule.label()} ({cfg.mode} mode); use a smaller depth "
+            f"or smaller weights"
+        )
+
+
+def _child_buckets(deg_a, pad_a, deg_b, pad_b):
+    """Node pairs whose neighbour lists are both non-empty, by padded size.
+
+    Returns (cells, gather, s) per size s = max(deg u, deg v): cells holds the
+    flat indices u * nb + v of the pairs in the (na, nb) child block, gather
+    the (P, s, s) flat indices into an (na + 1, nb + 1) table that pick each
+    pair's blank-padded child cost matrix.
+    """
+    na, nb = len(deg_a), len(deg_b)
+    width = max(pad_a.shape[1], pad_b.shape[1])
+    pad_a = np.pad(pad_a, ((0, 0), (0, width - pad_a.shape[1])), constant_values=na)
+    pad_b = np.pad(pad_b, ((0, 0), (0, width - pad_b.shape[1])), constant_values=nb)
+    size = np.maximum.outer(deg_a, deg_b)
+    size[deg_a == 0] = 0
+    size[:, deg_b == 0] = 0
+    out = []
+    for s in np.unique(size[size > 0]):
+        u, v = np.nonzero(size == s)
+        gather = pad_a[u, :s, None] * (nb + 1) + pad_b[v, None, :s]
+        out.append((u * nb + v, gather, int(s)))
+    return out
+
+
+def _child_transports(prev, buckets, mean):
+    """Yield (cells, costs): the child transport values of each bucket."""
+    flat = prev.reshape(-1)
+    for cells, gather, s in buckets:
+        c = flat[gather]
+        perms = np.concatenate([linear_sum_assignment(m)[1] for m in c]).reshape(-1, s)
+        costs = c[np.arange(len(c))[:, None], np.arange(s), perms].sum(axis=1)
+        yield cells, costs / s if mean else costs
 
 
 def build_distance_tables(ga, gb, cfg):
@@ -75,43 +163,34 @@ def build_distance_tables(ga, gb, cfg):
     _warn_zero_features(ga)
     _warn_zero_features(gb)
     na, nb = ga.node_count, gb.node_count
-    mean = cfg.mode == "mean"
+    deg_a, pad_a = _neighbor_index(ga)
+    deg_b, pad_b = _neighbor_index(gb)
+    levels_a, aggs_a = _norm_recursion(ga, deg_a, pad_a, cfg.depth, cfg)
+    levels_b, aggs_b = _norm_recursion(gb, deg_b, pad_b, cfg.depth, cfg)
     base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))
-    norm_a = np.linalg.norm(ga.features, axis=1)
-    norm_b = np.linalg.norm(gb.features, axis=1)
+    buckets = _child_buckets(deg_a, pad_a, deg_b, pad_b) if cfg.depth > 1 else []
 
-    first = np.zeros((na + 1, nb + 1))
-    first[:na, :nb] = base
-    first[:na, nb] = norm_a
-    first[na, :nb] = norm_b
-    tables = [DistanceTable(1, first)]
-
-    nbrs_a = _neighbor_arrays(ga)
-    nbrs_b = _neighbor_arrays(gb)
-    for k in range(2, cfg.depth + 1):
-        w = cfg.schedule.weight(k - 1)
-        prev = tables[-1].dist
-        cur = np.zeros((na + 1, nb + 1))
-        for u in range(na):
-            agg = float(prev[nbrs_a[u], nb].sum())
-            if mean and len(nbrs_a[u]):
-                agg /= len(nbrs_a[u])
-            cur[u, nb] = norm_a[u] + w * agg
-        for v in range(nb):
-            agg = float(prev[na, nbrs_b[v]].sum())
-            if mean and len(nbrs_b[v]):
-                agg /= len(nbrs_b[v])
-            cur[na, v] = norm_b[v] + w * agg
-        for u in range(na):
-            au = nbrs_a[u]
-            rn = prev[au, nb]
-            for v in range(nb):
-                bv = nbrs_b[v]
-                child_cost = _augmented_cost(
-                    prev[np.ix_(au, bv)], rn, prev[na, bv], mean
-                )
-                cur[u, v] = base[u, v] + w * child_cost
-        tables.append(DistanceTable(k, cur))
+    tables = []
+    # overflow shows as inf and is reported by _check_finite
+    with np.errstate(over="ignore"):
+        for k in range(1, cfg.depth + 1):
+            cur = np.zeros((na + 1, nb + 1))
+            cur[:na, nb] = levels_a[k - 1]
+            cur[na, :nb] = levels_b[k - 1]
+            if k == 1:
+                cur[:na, :nb] = base
+            else:
+                # a leaf against a tree costs the tree's children's norms
+                child = np.zeros((na, nb))
+                child[deg_a == 0] = aggs_b[k - 2]
+                child[:, deg_b == 0] = aggs_a[k - 2][:, None]
+                flat = child.reshape(-1)
+                for cells, costs in _child_transports(tables[-1].dist, buckets,
+                                                      cfg.mode == "mean"):
+                    flat[cells] = costs
+                cur[:na, :nb] = base + cfg.schedule.weight(k - 1) * child
+            _check_finite(cur, k, cfg)
+            tables.append(DistanceTable(k, cur))
     return tables
 
 
@@ -130,22 +209,12 @@ def tree_norm_levels(g, depth, cfg):
     """Per-node tree norms for every depth 1..depth; list of length `depth`.
 
     The norm of a tree is its distance to the blank tree: the root feature
-    norm plus the weighted (mode-scaled) sum of child tree norms.
+    norm plus the weighted (mode-scaled) sum of child tree norms. Raises
+    ConfigError naming the first depth whose norms overflow.
     """
-    mean = cfg.mode == "mean"
-    base = np.linalg.norm(g.features, axis=1)
-    levels = [base]
-    nbrs = _neighbor_arrays(g)
-    for k in range(2, depth + 1):
-        w = cfg.schedule.weight(k - 1)
-        prev = levels[-1]
-        cur = np.empty_like(base)
-        for v in range(g.node_count):
-            agg = float(prev[nbrs[v]].sum())
-            if mean and len(nbrs[v]):
-                agg /= len(nbrs[v])
-            cur[v] = base[v] + w * agg
-        levels.append(cur)
+    levels = _norm_recursion(g, *_neighbor_index(g), depth, cfg)[0]
+    for k, norms in enumerate(levels, start=1):
+        _check_finite(norms, k, cfg)
     return levels
 
 
@@ -155,6 +224,22 @@ def tree_norm(g, v, depth, cfg):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
     _warn_zero_features(g)
     return float(tree_norm_levels(g, depth, cfg)[-1][v])
+
+
+def _final_cost(last, na, nb, mean):
+    """Transport between the two root-tree multisets of the last table."""
+    s = max(na, nb)
+    if na == 0:
+        total = float(last[na, :nb].sum())
+    elif nb == 0:
+        total = float(last[:na, nb].sum())
+    else:
+        # indices past the smaller side stop at its blank row or column
+        pick = np.arange(s)
+        c = last[np.minimum(pick, na)[:, None], np.minimum(pick, nb)]
+        rows, cols = linear_sum_assignment(c)
+        total = float(c[rows, cols].sum())
+    return total / s if mean else total
 
 
 def tmd(ga, gb, cfg):
@@ -169,7 +254,4 @@ def tmd(ga, gb, cfg):
     if na == 0 and nb == 0:
         return 0.0
     tables = build_distance_tables(ga, gb, cfg)
-    last = tables[-1].dist
-    return _augmented_cost(
-        last[:na, :nb], last[:na, nb], last[na, :nb], cfg.mode == "mean"
-    )
+    return _final_cost(tables[-1].dist, na, nb, cfg.mode == "mean")

@@ -237,19 +237,3 @@ def augmented_ot(core, row_norms, col_norms, normalized=False):
     return TransportPlan(cost=float(total), permutation=plan.permutation,
                          normalized=normalized)
 
-
-def _augmented_cost(core, row_norms, col_norms, mean):
-    """Value-only augmented transport; assumes validated inputs (hot path)."""
-    m, n = core.shape
-    s = max(m, n)
-    if s == 0:
-        return 0.0
-    if m == 0:
-        total = float(col_norms.sum())
-    elif n == 0:
-        total = float(row_norms.sum())
-    elif m == n:
-        total = _assignment_cost(core)
-    else:
-        total = _assignment_cost(_padded_matrix(core, row_norms, col_norms))
-    return total / s if mean else total

@@ -1,10 +1,13 @@
 """Dataset-level tooling: pairwise matrices, kernels, W1, shift reports, CSV."""
 
+import re
+
 import numpy as np
 import pytest
 
 from treemover import (
     AttributedGraph,
+    DatasetFormatError,
     DistanceMatrix,
     GraphDataset,
     TmdConfig,
@@ -182,6 +185,28 @@ def test_csv_without_header(tmp_path):
     assert np.array_equal(dm.values, np.array([[0.0, 1.25], [3.5, 0.0]]))
     assert dm.row_ids == ("0", "1")
     assert dm.config is None
+
+
+def test_csv_ragged_row_names_path_and_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("0.0,1.25\n\n3.5\n")
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:3: 1 values"):
+        load_distance_csv(path)
+    # the header counts as line 1
+    path.write_text('# config:{"config":null,"row_ids":["a"],"col_ids":["a"]}\n'
+                    "0.0,1.0\n1.0,0.0,2.0\n")
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:3: 3 values"):
+        load_distance_csv(path)
+
+
+def test_csv_non_numeric_token_names_path_and_line(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text("0.0,1.25\n3.5,zero\n")
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:2: .*'zero'"):
+        load_distance_csv(path)
+    path.write_text("0.0,,1.0\n")
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:1: "):
+        load_distance_csv(path)
 
 
 def test_csv_floats_roundtrip_exactly(tmp_path):

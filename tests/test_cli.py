@@ -14,6 +14,7 @@ from treemover import (
     load_distance_csv,
     loo_knn_accuracy,
     random_gin,
+    random_graph,
     save_dataset_json,
     save_graph_json,
     save_model_json,
@@ -458,6 +459,32 @@ def test_exit_malformed_inputs(tmp_path):
     assert main(["dist", "--data", str(tu), "--name", "toy", "--depth", "2",
                  "--weights", "constant:1.0",
                  "--out", str(tmp_path / "m.csv")]) == 2
+
+
+def test_exit_malformed_distance_csv(two_cluster_dir, tmp_path, capsys):
+    _, labels = two_cluster_dir
+    for name, text, line in (("ragged.csv", "0.0,1.0\n1.0\n", 2),
+                             ("words.csv", "0.0,one\n1.0,0.0\n", 1)):
+        mat = tmp_path / name
+        mat.write_text(text)
+        assert main(["knn", "--matrix", str(mat), "--labels", str(labels),
+                     "--out", str(tmp_path / "knn.json")]) == 2
+        assert f"error: {mat}:{line}: " in capsys.readouterr().err
+
+
+def test_exit_norm_overflow(tmp_path, capsys):
+    d = tmp_path / "dense"
+    d.mkdir()
+    save_graph_json(d / "a.json", random_graph(12, 0.9, 3, 0))
+    save_graph_json(d / "b.json", random_graph(12, 0.8, 3, 1))
+    out = tmp_path / "m.csv"
+    assert main(["dist", "--data", str(d), "--depth", "400",
+                 "--weights", "constant:1.0", "--threads", "1",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "tree distances overflow at depth " in err
+    assert "constant:1.0 (sum mode)" in err
+    assert not out.exists()
 
 
 def test_exit_config_errors(two_cluster_dir, tmp_path):

@@ -1,12 +1,20 @@
 """The dynamic-programming distance: frozen examples, metric laws, naive parity."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
-from treemover import (AttributedGraph, TmdConfig, build_distance_tables,
+import treemover.distance as distance_module
+from treemover import (AttributedGraph, ConfigError, TmdConfig, build_distance_tables,
                        constant_weights, naive_tmd, pascal_weights,
                        permute_nodes, random_graph, tmd, tree_distance,
                        tree_norm, tree_norm_levels)
+from treemover.graphs import graph_key
+from treemover.ot import _padded_matrix
 
 from conftest import load_fixture
 
@@ -272,3 +280,162 @@ def test_naive_size_guard():
         naive_tmd(small, small, cfg(5, schedule=constant_weights(1.0)))
     # explicit limits override
     assert naive_tmd(big, big, cfg(2), max_nodes=12) == 0.0
+
+
+# ------------------------------------------------ per-cell reference program
+
+
+def _reference_cost(core, row_norms, col_norms, mean):
+    """Augmented transport of one padded child (or root) cost matrix."""
+    m, n = core.shape
+    s = max(m, n)
+    if s == 0:
+        return 0.0
+    if m == 0:
+        total = float(col_norms.sum())
+    elif n == 0:
+        total = float(row_norms.sum())
+    else:
+        c = core if m == n else _padded_matrix(core, row_norms, col_norms)
+        rows, cols = linear_sum_assignment(c)
+        total = float(c[rows, cols].sum())
+    return total / s if mean else total
+
+
+def _reference_tables(ga, gb, c):
+    """Depth tables by one np.ix_ gather and one transport per node pair."""
+    na, nb = ga.node_count, gb.node_count
+    mean = c.mode == "mean"
+    base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))
+    norm_a = np.linalg.norm(ga.features, axis=1)
+    norm_b = np.linalg.norm(gb.features, axis=1)
+    first = np.zeros((na + 1, nb + 1))
+    first[:na, :nb] = base
+    first[:na, nb] = norm_a
+    first[na, :nb] = norm_b
+    tables = [first]
+    nbrs_a = [np.asarray(a, dtype=np.intp) for a in ga.neighbors]
+    nbrs_b = [np.asarray(b, dtype=np.intp) for b in gb.neighbors]
+    for k in range(2, c.depth + 1):
+        w = c.schedule.weight(k - 1)
+        prev = tables[-1]
+        cur = np.zeros((na + 1, nb + 1))
+        for u in range(na):
+            agg = float(prev[nbrs_a[u], nb].sum())
+            if mean and len(nbrs_a[u]):
+                agg /= len(nbrs_a[u])
+            cur[u, nb] = norm_a[u] + w * agg
+        for v in range(nb):
+            agg = float(prev[na, nbrs_b[v]].sum())
+            if mean and len(nbrs_b[v]):
+                agg /= len(nbrs_b[v])
+            cur[na, v] = norm_b[v] + w * agg
+        for u in range(na):
+            au = nbrs_a[u]
+            for v in range(nb):
+                bv = nbrs_b[v]
+                child = _reference_cost(prev[np.ix_(au, bv)], prev[au, nb],
+                                        prev[na, bv], mean)
+                cur[u, v] = base[u, v] + w * child
+        tables.append(cur)
+    return tables
+
+
+def _reference_tmd(ga, gb, c):
+    if graph_key(gb) < graph_key(ga):
+        ga, gb = gb, ga
+    na, nb = ga.node_count, gb.node_count
+    last = _reference_tables(ga, gb, c)[-1]
+    return _reference_cost(last[:na, :nb], last[:na, nb], last[na, :nb],
+                           c.mode == "mean")
+
+
+def _differential_pairs():
+    empty = AttributedGraph(np.zeros((0, 3)), [])
+    one = AttributedGraph(np.array([[1.0, 0.5, 0.0]]), [])
+    other = AttributedGraph(np.array([[0.0, 2.0, 1.0]]), [])
+    # nodes 3 and 4 are isolated; 0-1-2 is a path
+    isolated = AttributedGraph(np.arange(15.0).reshape(5, 3) / 7.0 + 0.1,
+                               [(0, 1), (1, 2)])
+    sparse = random_graph(9, 0.3, 3, seed=4)
+    dense = [random_graph(14, 0.85, 3, seed=s) for s in (1, 2)]
+    assert min(min(len(a) for a in g.neighbors) for g in dense) >= 8
+    # degrees 4..11: neighbour sums on both sides of numpy's 8-way unrolling
+    wide = random_graph(16, 0.5, 3, seed=0)
+    rng = np.random.default_rng(606)
+    mixed = [random_graph(int(rng.integers(1, 12)), float(rng.uniform(0.1, 0.9)),
+                          3, int(rng.integers(1 << 30))) for _ in range(6)]
+    return [(empty, isolated), (empty, dense[0]), (one, other), (one, isolated),
+            (isolated, sparse), (isolated, dense[1]), (sparse, dense[0]),
+            (dense[0], dense[1]), (dense[1], isolated), (wide, sparse),
+            (wide, dense[0])] + list(zip(mixed, mixed[1:]))
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_tables_bitwise_equal_per_cell_reference(mode):
+    for schedule in (constant_weights(0.7), pascal_weights(4)):
+        c = TmdConfig(4, schedule, mode)
+        for ga, gb in _differential_pairs():
+            for a, b in ((ga, gb), (gb, ga)):
+                got = build_distance_tables(a, b, c)
+                want = _reference_tables(a, b, c)
+                assert [t.depth for t in got] == [1, 2, 3, 4]
+                for t, ref in zip(got, want):
+                    assert t.dist.tobytes() == ref.tobytes()
+            for depth in (1, 2, 3, 4):
+                cd = TmdConfig(depth, schedule, mode)
+                want = _reference_tmd(ga, gb, cd)
+                assert np.float64(tmd(ga, gb, cd)).tobytes() == np.float64(want).tobytes()
+                assert tmd(gb, ga, cd) == tmd(ga, gb, cd)
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_norm_levels_bitwise_equal_per_node_loop(mode):
+    c = TmdConfig(4, pascal_weights(4), mode)
+    for g in {g for pair in _differential_pairs() for g in pair}:
+        got = tree_norm_levels(g, 4, c)
+        want = _reference_tables(g, AttributedGraph(np.zeros((0, 3)), []), c)
+        assert [lv.tobytes() for lv in got] == [t[:-1, -1].tobytes() for t in want]
+
+
+def test_one_assignment_per_child_transport_and_final(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c.shape)
+        return linear_sum_assignment(c)
+
+    monkeypatch.setattr(distance_module, "linear_sum_assignment", counting)
+    for ga, gb in _differential_pairs():
+        with_children = [sum(len(a) > 0 for a in g.neighbors) for g in (ga, gb)]
+        for depth in (1, 2, 3, 4):
+            calls.clear()
+            tmd(ga, gb, cfg(depth))
+            final = int(ga.node_count > 0 and gb.node_count > 0)
+            assert len(calls) == (depth - 1) * with_children[0] * with_children[1] + final
+
+
+# ----------------------------------------------------------------- overflow
+
+
+def test_sum_mode_norm_overflow_raises_config_error():
+    ga = random_graph(12, 0.9, 3, seed=0)
+    gb = random_graph(12, 0.8, 3, seed=1)
+    c = cfg(400, schedule=constant_weights(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(ConfigError) as info:
+            tmd(ga, gb, c)
+    msg = str(info.value)
+    match = re.fullmatch(r"tree distances overflow at depth (\d+) under schedule "
+                         r"constant:1\.0 \(sum mode\); .*", msg)
+    assert match, msg
+    depth = int(match.group(1))
+    # the named depth is the first whose norms are not finite in either graph
+    for g in (ga, gb):
+        assert np.all(np.isfinite(tree_norm_levels(g, depth - 1, c)[-1]))
+    with pytest.raises(ConfigError, match=f"at depth {depth} "):
+        for g in (ga, gb):
+            tree_norm_levels(g, depth, c)
+    # mean mode stays bounded at the same depth
+    assert np.isfinite(tmd(ga, gb, cfg(400, "mean", constant_weights(1.0))))
