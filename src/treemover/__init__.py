@@ -3,57 +3,59 @@
 Hierarchical optimal transport between node computation trees, with
 closed-form perturbation bounds, message-passing stability checks,
 dataset-level transport distances, and distance-based learning utilities.
+
+`import treemover` loads only the standard library. The first access to
+any public name (PEP 562 `__getattr__`) imports every submodule and binds
+the whole public API at once, the distance engine and SciPy included. So a
+program that touches the API before it forks worker processes has SciPy
+loaded in the parent, and the workers inherit it instead of each importing
+it again. The `tmd` command line imports submodules directly and loads only
+the modules each subcommand uses (see `cli`).
 """
 
-from .analysis import (DistanceMatrix, dataset_w1, gram_matrix,
-                       load_distance_csv, pairwise_tmd, save_distance_csv,
-                       shift_report)
-from .bounds import (PerturbationReport, edge_drop_bound, edit_sequence_bound,
-                     lambda_coefficients, node_drop_bound,
-                     node_perturbation_bound)
-from .distance import (DistanceTable, build_distance_tables, tmd,
-                       tree_distance, tree_norm, tree_norm_levels)
-from .gnn import (GinLayer, GinModel, LipschitzCheck, empirical_lipschitz,
-                  gin_forward, lipschitz_check, load_model_json, make_gin,
-                  matching_config, model_from_json, model_to_json, pearson_r,
-                  random_gin, save_model_json, spectral_norm)
-from .graphs import (AttributedGraph, DatasetFormatError, GraphDataset,
-                     dataset_from_json, dataset_to_json, drop_edge, drop_node,
-                     graph_from_json, graph_to_json, load_dataset_json,
-                     load_graph_json, permute_nodes, perturb_feature,
-                     random_graph, save_dataset_json, save_graph_json,
-                     standardize_datasets)
-from .learn import (KMedoidsResult, completeness_score, kmedoids, knn_classify,
-                    loo_knn_accuracy, majority_rate, nmi)
-from .ot import TransportPlan, augmented_ot, solve_assignment, solve_transport
-from .schedule import (ConfigError, TmdConfig, WeightSchedule, constant_weights,
-                       pascal_weights, pascal_weights_scaled)
-from .trees import (ComputationTree, blank_tree, computation_tree, naive_tmd,
-                    naive_tree_distance, tree_width, tree_widths)
-from .tudataset import download_tudataset, parse_tudataset
-from .wl import wl_distinguishable, wl_first_difference
+import importlib
 
-__all__ = [
-    "AttributedGraph", "ComputationTree", "ConfigError", "DatasetFormatError",
-    "DistanceMatrix", "DistanceTable", "GinLayer", "GinModel", "GraphDataset",
-    "KMedoidsResult", "LipschitzCheck", "PerturbationReport", "TmdConfig",
-    "TransportPlan", "WeightSchedule", "augmented_ot", "blank_tree",
-    "build_distance_tables", "completeness_score", "computation_tree",
-    "constant_weights", "dataset_from_json", "dataset_to_json", "dataset_w1",
-    "download_tudataset", "drop_edge", "drop_node", "edge_drop_bound",
-    "edit_sequence_bound", "empirical_lipschitz", "gin_forward",
-    "gram_matrix", "graph_from_json", "graph_to_json", "kmedoids",
-    "knn_classify", "lambda_coefficients", "lipschitz_check",
-    "load_dataset_json", "load_distance_csv", "load_graph_json",
-    "load_model_json", "loo_knn_accuracy", "majority_rate", "make_gin",
-    "matching_config", "model_from_json", "model_to_json", "naive_tmd",
-    "naive_tree_distance", "nmi", "node_drop_bound",
-    "node_perturbation_bound", "pairwise_tmd", "parse_tudataset",
-    "pascal_weights", "pascal_weights_scaled", "pearson_r", "permute_nodes",
-    "perturb_feature", "random_gin", "random_graph", "save_dataset_json",
-    "save_distance_csv", "save_graph_json", "save_model_json",
-    "shift_report", "solve_assignment", "solve_transport", "spectral_norm",
-    "standardize_datasets", "tmd", "tree_distance", "tree_norm",
-    "tree_norm_levels", "tree_width", "tree_widths", "wl_distinguishable",
-    "wl_first_difference",
-]
+_EXPORTS = {
+    "analysis": ("dataset_w1", "pairwise_tmd", "shift_report"),
+    "bounds": ("PerturbationReport", "edge_drop_bound", "edit_sequence_bound",
+               "lambda_coefficients", "node_drop_bound",
+               "node_perturbation_bound"),
+    "distance": ("DistanceTable", "build_distance_tables", "tmd",
+                 "tree_distance", "tree_norm", "tree_norm_levels"),
+    "gnn": ("GinLayer", "GinModel", "LipschitzCheck", "empirical_lipschitz",
+            "gin_forward", "lipschitz_check", "load_model_json", "make_gin",
+            "matching_config", "model_from_json", "model_to_json", "pearson_r",
+            "random_gin", "save_model_json", "spectral_norm"),
+    "graphs": ("AttributedGraph", "DatasetFormatError", "GraphDataset",
+               "dataset_from_json", "dataset_to_json", "drop_edge", "drop_node",
+               "graph_from_json", "graph_to_json", "load_dataset_json",
+               "load_graph_json", "permute_nodes", "perturb_feature",
+               "random_graph", "save_dataset_json", "save_graph_json",
+               "standardize_datasets"),
+    "learn": ("KMedoidsResult", "completeness_score", "kmedoids", "knn_classify",
+              "loo_knn_accuracy", "majority_rate", "nmi"),
+    "matrix": ("DistanceMatrix", "gram_matrix", "load_distance_csv",
+               "save_distance_csv"),
+    "ot": ("TransportPlan", "augmented_ot", "solve_assignment", "solve_transport"),
+    "schedule": ("ConfigError", "TmdConfig", "WeightSchedule", "constant_weights",
+                 "pascal_weights", "pascal_weights_scaled"),
+    "trees": ("ComputationTree", "blank_tree", "computation_tree", "naive_tmd",
+              "naive_tree_distance", "tree_width", "tree_widths"),
+    "tudataset": ("download_tudataset", "parse_tudataset"),
+    "wl": ("wl_distinguishable", "wl_first_difference"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _EXPORTS.items():
+        namespace = importlib.import_module(f".{module}", __name__)
+        globals().update((n, getattr(namespace, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

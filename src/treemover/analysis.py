@@ -1,23 +1,22 @@
 """Dataset-level analyses on top of the pairwise distance.
 
 Pairwise matrices (optionally parallel and deterministic regardless of
-worker count), Gaussian gram matrices for kernel methods, the optimal
-transport distance between whole datasets under uniform graph masses, and
-distribution-shift reports ranking test sets by that distance.
+worker count), the optimal transport distance between whole datasets under
+uniform graph masses, and distribution-shift reports ranking test sets by
+that distance. Importing this module loads the engine and SciPy, so a
+command that forks workers has them loaded before the fork.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import tmd
-from .graphs import DatasetFormatError, graph_key
+from .graphs import graph_key
+from .matrix import DistanceMatrix
 from .ot import solve_transport
-from .schedule import TmdConfig
 
 _WORKER = None
 
@@ -32,34 +31,6 @@ def _row_task(args):
     ds_a, ds_b, cfg = _WORKER
     ga = ds_a.graphs[i]
     return i, cols, [tmd(ga, ds_b.graphs[j], cfg) for j in cols]
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Pairwise distances plus the configuration that produced them."""
-
-    values: np.ndarray
-    row_ids: tuple
-    col_ids: tuple
-    config: TmdConfig = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {vals.shape}")
-        if vals.shape != (len(self.row_ids), len(self.col_ids)):
-            raise ValueError(
-                f"shape {vals.shape} does not match ids "
-                f"({len(self.row_ids)}, {len(self.col_ids)})"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
-        object.__setattr__(self, "col_ids", tuple(str(c) for c in self.col_ids))
-
-    @property
-    def square(self):
-        return self.row_ids == self.col_ids
 
 
 def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
@@ -102,20 +73,6 @@ def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
     return DistanceMatrix(out, ids_a, ids_b, cfg)
 
 
-def gram_matrix(dm, gamma):
-    """Gaussian kernel K = exp(-gamma * D) from a square self-distance matrix."""
-    if not isinstance(dm, DistanceMatrix):
-        dm = DistanceMatrix(np.asarray(dm),
-                            [str(i) for i in range(np.asarray(dm).shape[0])],
-                            [str(i) for i in range(np.asarray(dm).shape[1])])
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if dm.values.shape[0] != dm.values.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {dm.values.shape}")
-    return np.exp(-gamma * dm.values)
-
-
 def _dataset_key(ds):
     return tuple(graph_key(g) for g in ds.graphs)
 
@@ -155,58 +112,3 @@ def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
     if lipschitz_product is not None:
         report["lipschitz_product"] = float(lipschitz_product)
     return report
-
-
-def save_distance_csv(path, dm, extra=None):
-    """Write `# config:{json}` then one comma-separated row per matrix row.
-
-    Floats use shortest round-trip formatting, so equal matrices produce
-    byte-identical files. `extra` merges additional provenance keys into the
-    header object.
-    """
-    header = {
-        "config": dm.config.to_json() if dm.config is not None else None,
-        "row_ids": list(dm.row_ids),
-        "col_ids": list(dm.col_ids),
-    }
-    if extra:
-        header.update(extra)
-    with open(path, "w") as fh:
-        fh.write("# config:" + json.dumps(header, separators=(",", ":")) + "\n")
-        for row in dm.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_distance_csv(path):
-    """Read a matrix in the `save_distance_csv` layout; the header is optional.
-
-    Raises DatasetFormatError naming `path:line` for a token that is not a
-    float or a row whose length differs from the first row's.
-    """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    header = None
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
-        if lineno == 1 and ln.startswith("# config:"):
-            header = json.loads(ln[len("# config:"):])
-            continue
-        if not ln.strip():
-            continue
-        try:
-            row = [float(tok) for tok in ln.split(",")]
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise DatasetFormatError(
-                f"{path}:{lineno}: {len(row)} values, the first row has {len(rows[0])}"
-            )
-        rows.append(row)
-    values = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, 0))
-    if header is not None:
-        cfg = (TmdConfig.from_json(header["config"])
-               if header.get("config") else None)
-        return DistanceMatrix(values, header["row_ids"], header["col_ids"], cfg)
-    n, m = values.shape if values.size else (0, 0)
-    return DistanceMatrix(values, [str(i) for i in range(n)],
-                          [str(j) for j in range(m)], None)

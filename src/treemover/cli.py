@@ -5,6 +5,11 @@ Distance matrices go to CSV (with a `# config:` provenance header), reports
 to JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or malformed
 input files, 3 invalid configuration. `TMD_THREADS` sets the default worker
 count.
+
+Each handler imports the modules it needs beyond the light ones imported
+here, so gram, knn, cluster and wl never load SciPy. dist and shift import
+`analysis`, which loads the engine and SciPy before any worker is forked,
+so the workers inherit them instead of importing them again.
 """
 
 from __future__ import annotations
@@ -17,15 +22,10 @@ import sys
 
 import numpy as np
 
-from .analysis import (DistanceMatrix, dataset_w1, gram_matrix, load_distance_csv,
-                       pairwise_tmd, save_distance_csv, shift_report)
-from .bounds import edge_drop_bound, node_drop_bound, node_perturbation_bound
-from .distance import tmd
-from .gnn import (empirical_lipschitz, lipschitz_check, load_model_json,
-                  matching_config, pearson_r)
 from .graphs import (DatasetFormatError, GraphDataset, load_dataset_json,
                      load_graph_json, standardize_datasets)
 from .learn import kmedoids, loo_knn_accuracy, majority_rate, nmi, completeness_score
+from .matrix import DistanceMatrix, gram_matrix, load_distance_csv, save_distance_csv
 from .schedule import ConfigError, TmdConfig, constant_weights, pascal_weights
 from .tudataset import parse_tudataset
 from .wl import wl_first_difference
@@ -105,6 +105,8 @@ def _add_config_flags(p, need_depth=True):
 
 
 def cmd_dist(args):
+    from .analysis import pairwise_tmd
+
     ds_a = load_dataset(args.data, args.name)
     ds_b = load_dataset(args.data_b, args.name_b) if args.data_b else None
     if args.standardize:
@@ -191,6 +193,8 @@ def cmd_cluster(args):
 
 
 def cmd_shift(args):
+    from .analysis import shift_report
+
     train = load_dataset(args.train, args.train_name)
     test_names = args.test_name or [None] * len(args.test)
     if len(test_names) != len(args.test):
@@ -211,6 +215,9 @@ def cmd_shift(args):
 
 
 def cmd_lipschitz(args):
+    from .gnn import (empirical_lipschitz, lipschitz_check, load_model_json,
+                      matching_config, pearson_r)
+
     model = load_model_json(args.model)
     cfg = matching_config(model)
     entries = []
@@ -263,6 +270,8 @@ def cmd_lipschitz(args):
 
 
 def cmd_perturb(args):
+    from .bounds import edge_drop_bound, node_drop_bound, node_perturbation_bound
+
     g = load_graph_json(args.graph)
     cfg = _config_from_args(args)
     picked = [x is not None for x in

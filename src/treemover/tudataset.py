@@ -11,10 +11,7 @@ the scalar feature 1.
 
 from __future__ import annotations
 
-import io
 import os
-import urllib.request
-import zipfile
 
 import numpy as np
 
@@ -183,6 +180,10 @@ def download_tudataset(name, dest_dir, timeout=30):
 
     Raises OSError when no mirror is reachable (offline environments).
     """
+    import io
+    import urllib.request
+    import zipfile
+
     os.makedirs(dest_dir, exist_ok=True)
     target = os.path.join(dest_dir, name)
     if os.path.exists(os.path.join(target, f"{name}_A.txt")):

@@ -473,17 +473,22 @@ def test_per_pair_runtime_and_scaling():
             pairs += 1
     per_pair = (time.perf_counter() - t0) / pairs
 
-    def median_pair_time(n):
-        graphs = [random_graph(n, 0.5, 2, 2000 + n + i) for i in range(4)]
-        times = []
-        for i in range(len(graphs)):
-            for j in range(i + 1, len(graphs)):
+    # Core speed drifts over seconds, so the two sizes' pair timings are
+    # interleaved and each pair keeps the best of a few repeats: drift then
+    # hits both sizes alike instead of the one timed later.
+    dense = {n: [random_graph(n, 0.5, 2, 2000 + n + i) for i in range(4)]
+             for n in (16, 32)}
+    best = {n: [] for n in dense}
+    for i, j in itertools.combinations(range(4), 2):
+        pair_best = {n: float("inf") for n in dense}
+        for _ in range(3):
+            for n, graphs in dense.items():
                 start = time.perf_counter()
                 tmd(graphs[i], graphs[j], cfg)
-                times.append(time.perf_counter() - start)
-        return float(np.median(times))
-
-    ratio = median_pair_time(32) / median_pair_time(16)
+                pair_best[n] = min(pair_best[n], time.perf_counter() - start)
+        for n in dense:
+            best[n].append(pair_best[n])
+    ratio = float(np.median(best[32]) / np.median(best[16]))
     check("runtime", per_pair < 3.4 and ratio <= 12.0,
           f"30-node depth-4 pairs at {per_pair * 1000:.0f} ms each "
           f"(< 3400 ms), doubling n on dense graphs scales x{ratio:.1f} "

@@ -209,6 +209,25 @@ def test_csv_non_numeric_token_names_path_and_line(tmp_path):
         load_distance_csv(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    ('{"config":null}', "header needs 'row_ids' and 'col_ids'"),
+    ('[["a","b"],["a","b"]]', "header needs 'row_ids' and 'col_ids'"),
+    ('{"config":null,"row_ids":["a"],"col_ids":["a","b"]}',
+     "header ids do not fit the matrix: shape (2, 2) does not match ids (1, 2)"),
+    ('{"config":{"depth":2},"row_ids":["a","b"],"col_ids":["a","b"]}',
+     "invalid config in header: KeyError('weights')"),
+    ('{"config":{"depth":0,"weights":{"kind":"constant","constant":1.0}},'
+     '"row_ids":["a","b"],"col_ids":["a","b"]}', "invalid config in header: "),
+    ('{"config":', "header is not valid JSON: "),
+])
+def test_csv_malformed_header_names_path_and_line_1(tmp_path, header, message):
+    path = tmp_path / "header.csv"
+    path.write_text(f"# config:{header}\n0.0,1.0\n1.0,0.0\n")
+    with pytest.raises(DatasetFormatError,
+                       match=rf"^{re.escape(str(path))}:1: {re.escape(message)}"):
+        load_distance_csv(path)
+
+
 def test_csv_floats_roundtrip_exactly(tmp_path):
     rng = np.random.default_rng(13)
     vals = rng.uniform(0, 10, (3, 3))

@@ -463,8 +463,13 @@ def test_exit_malformed_inputs(tmp_path):
 
 def test_exit_malformed_distance_csv(two_cluster_dir, tmp_path, capsys):
     _, labels = two_cluster_dir
+    body = "0.0,1.0\n1.0,0.0\n"
     for name, text, line in (("ragged.csv", "0.0,1.0\n1.0\n", 2),
-                             ("words.csv", "0.0,one\n1.0,0.0\n", 1)):
+                             ("words.csv", "0.0,one\n1.0,0.0\n", 1),
+                             ("no_ids.csv", '# config:{"config":null}\n' + body, 1),
+                             ("short_ids.csv", '# config:{"config":null,"row_ids":["0"],'
+                              '"col_ids":["0","1"]}\n' + body, 1),
+                             ("not_json.csv", '# config:{"config":\n' + body, 1)):
         mat = tmp_path / name
         mat.write_text(text)
         assert main(["knn", "--matrix", str(mat), "--labels", str(labels),
