@@ -20,11 +20,13 @@ The blank row and column of a table double as the padding index: a
 neighbour list padded with the blank index (n_a on the a-side, n_b on the
 b-side) gathers exactly the padded child cost matrix, with norms against
 blanks and 0 for blank against blank. Node pairs are grouped by padded size
-once per graph pair, so each depth makes one gather per size and one
-assignment per pair whose nodes both have neighbours. Tree norms come from
-the recursion behind `tree_norm_levels`, which sums neighbour norms per
-exact degree (never over zero-padded rows), so every sum runs over the same
-values in the same order as a per-node loop.
+once per graph pair, with one stable sort of the flattened size matrix
+(`graphs.group_indices`). Each depth then makes, per size, one `take` that
+gathers the (P, s, s) child costs, one assignment per pair whose nodes both
+have neighbours, and one `take` of the assigned entries at precomputed row
+offsets. Tree norms come from the recursion behind `tree_norm_levels`, which
+sums neighbour norms per exact degree (never over zero-padded rows), so
+every sum runs over the same values in the same order as a per-node loop.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .graphs import graph_key
+from .graphs import degree_buckets, graph_key, group_indices, neighbor_index
 from .schedule import ConfigError, TmdConfig
 
 
@@ -72,19 +74,6 @@ def _warn_zero_features(g):
         )
 
 
-def _neighbor_index(g):
-    """Degrees and the neighbour lists of g as one blank-padded matrix.
-
-    Row v holds v's neighbours in order, then the blank index n up to the
-    largest degree.
-    """
-    n = g.node_count
-    deg = np.fromiter((len(a) for a in g.neighbors), dtype=np.intp, count=n)
-    pad = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
-    pad[np.arange(pad.shape[1]) < deg[:, None]] = [v for a in g.neighbors for v in a]
-    return deg, pad
-
-
 def _norm_recursion(g, deg, pad, depth, cfg):
     """Tree norms of every node at depths 1..depth, and their child terms.
 
@@ -94,9 +83,7 @@ def _norm_recursion(g, deg, pad, depth, cfg):
     that overflow come back as inf, without a warning.
     """
     mean = cfg.mode == "mean"
-    buckets = [(nodes, pad[nodes, :d], d)
-               for d in np.unique(deg[deg > 0])
-               for nodes in [np.flatnonzero(deg == d)]]
+    buckets = degree_buckets(deg, pad)
     with np.errstate(over="ignore"):
         base = np.linalg.norm(g.features, axis=1)
         levels, aggs = [base], []
@@ -121,36 +108,49 @@ def _check_finite(values, depth, cfg):
         )
 
 
+def _widen(pad, width, blank):
+    """pad with blank columns appended up to `width` columns."""
+    if pad.shape[1] >= width:
+        return pad
+    out = np.full((len(pad), width), blank, dtype=np.intp)
+    out[:, :pad.shape[1]] = pad
+    return out
+
+
 def _child_buckets(deg_a, pad_a, deg_b, pad_b):
     """Node pairs whose neighbour lists are both non-empty, by padded size.
 
-    Returns (cells, gather, s) per size s = max(deg u, deg v): cells holds the
-    flat indices u * nb + v of the pairs in the (na, nb) child block, gather
-    the (P, s, s) flat indices into an (na + 1, nb + 1) table that pick each
-    pair's blank-padded child cost matrix.
+    Returns (cells, gather, offs, s) per size s = max(deg u, deg v): cells
+    holds the flat indices u * nb + v of the pairs in the (na, nb) child
+    block in ascending order, gather the (P, s, s) flat indices into an
+    (na + 1, nb + 1) table that pick each pair's blank-padded child cost
+    matrix, and offs the (P, s) flat offsets p*s*s + i*s of each row of
+    those P matrices.
     """
     na, nb = len(deg_a), len(deg_b)
-    width = max(pad_a.shape[1], pad_b.shape[1])
-    pad_a = np.pad(pad_a, ((0, 0), (0, width - pad_a.shape[1])), constant_values=na)
-    pad_b = np.pad(pad_b, ((0, 0), (0, width - pad_b.shape[1])), constant_values=nb)
     size = np.maximum.outer(deg_a, deg_b)
     size[deg_a == 0] = 0
     size[:, deg_b == 0] = 0
+    width = max(pad_a.shape[1], pad_b.shape[1])
+    pad_a = _widen(pad_a, width, na)
+    pad_b = _widen(pad_b, width, nb)
     out = []
-    for s in np.unique(size[size > 0]):
-        u, v = np.nonzero(size == s)
-        gather = pad_a[u, :s, None] * (nb + 1) + pad_b[v, None, :s]
-        out.append((u * nb + v, gather, int(s)))
+    for s, cells in group_indices(size.reshape(-1)):
+        if s:
+            u, v = np.divmod(cells, nb)
+            gather = (pad_a[u, :s] * (nb + 1))[:, :, None] + pad_b[v, None, :s]
+            offs = np.arange(len(cells))[:, None] * (s * s) + np.arange(s) * s
+            out.append((cells, gather, offs, s))
     return out
 
 
 def _child_transports(prev, buckets, mean):
     """Yield (cells, costs): the child transport values of each bucket."""
     flat = prev.reshape(-1)
-    for cells, gather, s in buckets:
-        c = flat[gather]
+    for cells, gather, offs, s in buckets:
+        c = flat.take(gather)
         perms = np.concatenate([linear_sum_assignment(m)[1] for m in c]).reshape(-1, s)
-        costs = c[np.arange(len(c))[:, None], np.arange(s), perms].sum(axis=1)
+        costs = c.reshape(-1).take(offs + perms).sum(axis=1)
         yield cells, costs / s if mean else costs
 
 
@@ -163,8 +163,8 @@ def build_distance_tables(ga, gb, cfg):
     _warn_zero_features(ga)
     _warn_zero_features(gb)
     na, nb = ga.node_count, gb.node_count
-    deg_a, pad_a = _neighbor_index(ga)
-    deg_b, pad_b = _neighbor_index(gb)
+    deg_a, pad_a = neighbor_index(ga)
+    deg_b, pad_b = neighbor_index(gb)
     levels_a, aggs_a = _norm_recursion(ga, deg_a, pad_a, cfg.depth, cfg)
     levels_b, aggs_b = _norm_recursion(gb, deg_b, pad_b, cfg.depth, cfg)
     base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))
@@ -212,7 +212,7 @@ def tree_norm_levels(g, depth, cfg):
     norm plus the weighted (mode-scaled) sum of child tree norms. Raises
     ConfigError naming the first depth whose norms overflow.
     """
-    levels = _norm_recursion(g, *_neighbor_index(g), depth, cfg)[0]
+    levels = _norm_recursion(g, *neighbor_index(g), depth, cfg)[0]
     for k, norms in enumerate(levels, start=1):
         _check_finite(norms, k, cfg)
     return levels

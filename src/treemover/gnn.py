@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import tmd
+from .graphs import degree_buckets, neighbor_index
 from .schedule import ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled
 
 
@@ -213,23 +214,44 @@ def _sorted_rows(rows):
     return rows[order]
 
 
+def _neighbor_sums(z, buckets, mean):
+    """Per-node sum (mean) of the neighbours' rows of z, in sorted row order.
+
+    Each degree bucket gathers its (P, d, h) neighbour rows, sorts every
+    node's rows lexicographically with one stable lexsort whose primary key
+    is the node, and sums over the d rows: the same rows added in the same
+    order as `_sorted_rows(z[nbrs]).sum(axis=0)` per node, never over
+    zero-padded rows.
+    """
+    agg = np.zeros_like(z)
+    for nodes, nbrs, d in buckets:
+        rows = z[nbrs]
+        if d > 1:
+            flat = rows.reshape(-1, z.shape[1])
+            owner = np.repeat(np.arange(len(nodes)), d)
+            order = np.lexsort((*flat.T[::-1], owner))
+            rows = flat[order].reshape(rows.shape)
+        total = rows.sum(axis=1)
+        agg[nodes] = total / d if mean else total
+    return agg
+
+
 def gin_forward(model, g):
-    """Graph-level embedding; bitwise invariant to node relabelling."""
+    """Graph-level embedding; bitwise invariant to node relabelling.
+
+    Neighbour rows are summed per exact degree in lexicographic order, and
+    the pooled node embeddings likewise, so every sum is order-canonical.
+    """
     if g.feature_dim != model.input_dim:
         raise ValueError(
             f"graph feature dimension {g.feature_dim} does not match model "
             f"input {model.input_dim}"
         )
     mean = model.aggregation == "mean"
+    buckets = degree_buckets(*neighbor_index(g))
     z = g.features
     for layer in model.layers:
-        agg = np.zeros_like(z)
-        for v in range(g.node_count):
-            nb = g.neighbors[v]
-            if nb:
-                agg[v] = _sorted_rows(z[list(nb)]).sum(axis=0)
-                if mean:
-                    agg[v] /= len(nb)
+        agg = _neighbor_sums(z, buckets, mean)
         if layer.neighbor_weight is not None:
             pre = z + agg @ layer.neighbor_weight.T
         else:

@@ -97,6 +97,40 @@ def graph_key(g):
     return (g.features.shape, g.features.tobytes(), g.edges)
 
 
+def group_indices(keys):
+    """Positions of a 1-D integer array grouped by value, by one stable sort.
+
+    Returns (value, positions) per distinct value in ascending order; each
+    group's positions are ascending.
+    """
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    ends = np.append(starts[1:], len(order))
+    return [(int(x), order[lo:hi]) for x, lo, hi in zip(values, starts, ends)]
+
+
+def neighbor_index(g):
+    """Degrees and the neighbour lists of g as one blank-padded matrix.
+
+    Row v holds v's neighbours in order, then the blank index n up to the
+    largest degree.
+    """
+    n = g.node_count
+    deg = np.fromiter((len(a) for a in g.neighbors), dtype=np.intp, count=n)
+    pad = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
+    pad[np.arange(pad.shape[1]) < deg[:, None]] = [v for a in g.neighbors for v in a]
+    return deg, pad
+
+
+def degree_buckets(deg, pad):
+    """(nodes, neighbours, d) for each degree d > 0.
+
+    nodes lists the nodes of degree d in ascending order, neighbours their
+    (P, d) neighbour rows.
+    """
+    return [(nodes, pad[nodes, :d], d) for d, nodes in group_indices(deg) if d]
+
+
 def drop_node(g, v):
     """Remove node v and its incident edges; higher indices shift down by one."""
     n = g.node_count

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import neighbor_index
+
 
 @dataclass(frozen=True)
 class ComputationTree:
@@ -54,21 +56,23 @@ def computation_tree(g, v, depth):
 
 
 def tree_widths(g, v, depth):
-    """Number of tree nodes at each level 1..depth (with multiplicity)."""
+    """Number of tree nodes at each level 1..depth (with multiplicity).
+
+    counts[u] is how often u occurs at the current level; one level down,
+    each node occurs once per occurrence of each of its neighbours, summed
+    over the blank-padded neighbour rows (the blank counts 0). Integer sums,
+    so exact.
+    """
     if not (0 <= v < g.node_count):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
     if int(depth) != depth or depth < 1:
         raise ValueError(f"depth must be an integer >= 1, got {depth}")
-    n = g.node_count
-    counts = np.zeros(n, dtype=np.int64)
+    pad = neighbor_index(g)[1]
+    counts = np.zeros(g.node_count + 1, dtype=np.int64)
     counts[v] = 1
     widths = [1]
     for _ in range(int(depth) - 1):
-        nxt = np.zeros(n, dtype=np.int64)
-        for u in range(n):
-            for x in g.neighbors[u]:
-                nxt[u] += counts[x]
-        counts = nxt
+        counts[:-1] = counts[pad].sum(axis=1)
         widths.append(int(counts.sum()))
     return np.asarray(widths, dtype=np.int64)
 

@@ -13,7 +13,7 @@ from treemover import (AttributedGraph, ConfigError, TmdConfig, build_distance_t
                        constant_weights, naive_tmd, pascal_weights,
                        permute_nodes, random_graph, tmd, tree_distance,
                        tree_norm, tree_norm_levels)
-from treemover.graphs import graph_key
+from treemover.graphs import graph_key, neighbor_index
 from treemover.ot import _padded_matrix
 
 from conftest import load_fixture
@@ -413,6 +413,34 @@ def test_one_assignment_per_child_transport_and_final(monkeypatch):
             tmd(ga, gb, cfg(depth))
             final = int(ga.node_count > 0 and gb.node_count > 0)
             assert len(calls) == (depth - 1) * with_children[0] * with_children[1] + final
+
+
+def test_child_buckets_hold_every_eligible_pair_once():
+    widened = 0
+    for ga, gb in _differential_pairs():
+        for a, b in ((ga, gb), (gb, ga)):
+            na, nb = a.node_count, b.node_count
+            (deg_a, pad_a), (deg_b, pad_b) = neighbor_index(a), neighbor_index(b)
+            widened += pad_a.shape[1] != pad_b.shape[1] and na > 0 and nb > 0
+            seen = {}
+            for cells, gather, offs, s in distance_module._child_buckets(
+                    deg_a, pad_a, deg_b, pad_b):
+                assert gather.shape == (len(cells), s, s)
+                assert offs.shape == (len(cells), s)
+                for p, cell in enumerate(cells.tolist()):
+                    u, v = divmod(cell, nb)
+                    assert (u, v) not in seen
+                    seen[u, v] = s
+                    row_a = list(a.neighbors[u]) + [na] * (s - len(a.neighbors[u]))
+                    row_b = list(b.neighbors[v]) + [nb] * (s - len(b.neighbors[v]))
+                    assert gather[p].tolist() == [[x * (nb + 1) + y for y in row_b]
+                                                  for x in row_a]
+                    assert offs[p].tolist() == [p * s * s + i * s for i in range(s)]
+            want = {(u, v): max(len(a.neighbors[u]), len(b.neighbors[v]))
+                    for u in range(na) for v in range(nb)
+                    if a.neighbors[u] and b.neighbors[v]}
+            assert seen == want
+    assert widened  # pairs whose largest degrees differ take the widen path
 
 
 # ----------------------------------------------------------------- overflow

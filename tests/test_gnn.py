@@ -27,6 +27,7 @@ from treemover import (
 )
 
 from conftest import load_fixture
+from references import reference_gin_forward
 
 
 def identity_model(dim, aggregation="sum", epsilon=1.0, out_dim=None):
@@ -213,6 +214,55 @@ def test_forward_permutation_invariant_bitwise():
         a = gin_forward(m, g)
         b = gin_forward(m, permute_nodes(g, perm))
         assert np.array_equal(a, b)
+
+
+def _forward_graphs(dim):
+    """Empty, one-node and isolated-node graphs, degrees >= 8 and 4..11, the
+    same structures with tie-heavy 0/1 features, and a sum that depends on
+    the order of its additions."""
+    rng = np.random.default_rng(808 + dim)
+    graphs = [AttributedGraph(np.zeros((0, dim)), []),
+              AttributedGraph(np.full((1, dim), 0.5), []),
+              AttributedGraph(np.arange(5.0 * dim).reshape(5, dim) / 7 - 1,
+                              [(0, 1), (1, 2)])]
+    dense = random_graph(14, 0.85, dim, seed=1)
+    assert min(len(a) for a in dense.neighbors) >= 8
+    wide = random_graph(16, 0.5, dim, seed=0)
+    assert {len(a) for a in wide.neighbors} >= {4, 8, 11}
+    for g in (dense, wide, random_graph(12, 0.7, dim, seed=2)):
+        ties = (rng.random(g.features.shape) < 0.5).astype(float)
+        graphs += [g, AttributedGraph(ties, g.edges)]
+    # node 0 sums 1 + 1 + 1 + 1e16, whose value depends on the order of the
+    # additions; node 5 has degree 8 and node 14 none
+    feats = np.full((15, dim), 0.5)
+    feats[1:4], feats[4] = 1.0, 1e16
+    graphs.append(AttributedGraph(feats, [(0, v) for v in range(1, 5)]
+                                  + [(5, v) for v in range(6, 14)]))
+    return graphs
+
+
+def _non_negative(m):
+    """m with every weight made non-negative, so ReLU passes every sum on."""
+    def absolute(a):
+        return None if a is None else np.abs(a)
+
+    layers = [(np.abs(l.weight), l.bias, absolute(l.neighbor_weight)) for l in m.layers]
+    return make_gin(layers, (np.abs(m.readout.weight), m.readout.bias),
+                    epsilon=m.epsilon, aggregation=m.aggregation)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+@pytest.mark.parametrize("neighbor_maps", [False, True])
+def test_forward_bitwise_equal_per_node_reference(aggregation, neighbor_maps):
+    # width 1 makes every neighbour sum a contiguous reduction, where a
+    # zero-padded sum would change numpy's summation order
+    for dim, hidden in ((1, 1), (3, 1), (3, 5)):
+        for seed, g in enumerate(_forward_graphs(dim)):
+            m = random_gin(dim, hidden, 3, seed=seed, aggregation=aggregation,
+                           neighbor_maps=neighbor_maps)
+            for model in (m, _non_negative(m)):
+                want = reference_gin_forward(model, g)
+                assert gin_forward(model, g).tobytes() == want.tobytes()
 
 
 def test_forward_dimension_mismatch():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from treemover import (TmdConfig, blank_tree, computation_tree, constant_weights,
-                       naive_tree_distance, random_graph, tree_norm, tree_width,
-                       tree_widths)
+from treemover import (AttributedGraph, TmdConfig, blank_tree, computation_tree,
+                       constant_weights, naive_tree_distance, random_graph,
+                       tree_norm, tree_width, tree_widths)
 from treemover.trees import _bitmask_assignment
 
 from conftest import load_fixture
+from references import reference_tree_widths
 
 CFG = lambda L, mode="sum": TmdConfig(L, constant_weights(1.0), mode)
 
@@ -48,6 +49,19 @@ def test_tree_widths_path_and_isolated():
     assert list(tree_widths(p3, 0, 4)) == [1, 1, 2, 2]
     iso = load_fixture("single_node")
     assert list(tree_widths(iso, 0, 3)) == [1, 0, 0]
+
+
+def test_tree_widths_bitwise_equal_per_node_loop():
+    one = AttributedGraph(np.ones((1, 1)), [])
+    isolated = AttributedGraph(np.ones((5, 1)), [(0, 1), (1, 2)])
+    dense = random_graph(14, 0.85, 1, seed=1)
+    wide = random_graph(16, 0.5, 1, seed=0)
+    for g in (one, isolated, dense, wide, random_graph(9, 0.3, 1, seed=4)):
+        for v in range(g.node_count):
+            for depth in (1, 2, 3, 5):
+                got = tree_widths(g, v, depth)
+                want = reference_tree_widths(g, v, depth)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_widths_match_materialised_tree():

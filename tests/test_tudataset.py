@@ -1,5 +1,8 @@
 """Plain-text benchmark dataset reader: layout handling and validation."""
 
+import urllib.error
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,15 @@ def test_download_short_circuits_on_existing_files(tmp_path):
     assert str(got) == str(tmp_path / "TOY")
 
 
-def test_download_unreachable_raises_oserror(tmp_path):
-    with pytest.raises(OSError):
+def test_download_unreachable_raises_oserror(tmp_path, monkeypatch):
+    tried = []
+
+    def unreachable(url, timeout=None):
+        tried.append(url)
+        raise urllib.error.URLError("network is unreachable")
+
+    # no real connection: every mirror fails the way an offline host does
+    monkeypatch.setattr(urllib.request, "urlopen", unreachable)
+    with pytest.raises(OSError, match="could not fetch dataset DOES_NOT_EXIST_XYZ"):
         download_tudataset("DOES_NOT_EXIST_XYZ", tmp_path / "dl", timeout=3)
+    assert len(tried) == 2 and all("DOES_NOT_EXIST_XYZ.zip" in u for u in tried)
