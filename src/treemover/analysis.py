@@ -3,8 +3,11 @@
 Pairwise matrices (optionally parallel and deterministic regardless of
 worker count), the optimal transport distance between whole datasets under
 uniform graph masses, and distribution-shift reports ranking test sets by
-that distance. Importing this module loads the engine and SciPy, so a
-command that forks workers has them loaded before the fork.
+that distance. A matrix prepares each graph once in the parent and runs
+each row in batches (`distance.pair_distances`); a shift report computes
+one train x (all test sets) matrix, so it forks at most one worker pool.
+Importing this module loads the engine and SciPy, so a command that forks
+workers has them loaded before the fork.
 """
 
 from __future__ import annotations
@@ -13,54 +16,60 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .distance import tmd
-from .graphs import graph_key
+from .distance import check_feature_dims, pair_distances, prepare_graph, warn_zero_features
+from .graphs import GraphDataset, graph_key
 from .matrix import DistanceMatrix
 from .ot import solve_transport
 
 _WORKER = None
 
 
-def _init_worker(ds_a, ds_b, cfg):
+def _init_worker(prep_a, prep_b, cfg):
     global _WORKER
-    _WORKER = (ds_a, ds_b, cfg)
+    _WORKER = (prep_a, prep_b, cfg)
 
 
 def _row_task(args):
     i, cols = args
-    ds_a, ds_b, cfg = _WORKER
-    ga = ds_a.graphs[i]
-    return i, cols, [tmd(ga, ds_b.graphs[j], cfg) for j in cols]
+    prep_a, prep_b, cfg = _WORKER
+    a = prep_a[i]
+    pairs = [(b, a) if b.key < a.key else (a, b) for b in (prep_b[j] for j in cols)]
+    return i, cols, pair_distances(pairs, cfg)
 
 
 def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
     """Distance matrix between two datasets (or within one when ds_b is None).
 
     The self case computes the upper triangle only and mirrors it, with an
-    exactly zero diagonal. Cell values do not depend on `threads`.
+    exactly zero diagonal. Cell values do not depend on `threads`; at most
+    one worker per matrix row is forked. One RuntimeWarning names how many
+    graphs hold all-zero feature vectors. A matrix that overflows raises
+    the ConfigError of its first overflowing row, which names the first
+    depth at which any pair of that row's first overflowing batch overflows.
     """
     self_mode = ds_b is None or ds_b is ds_a
-    if not self_mode and ds_a.feature_dim != ds_b.feature_dim:
-        raise ValueError(
-            f"feature dimensions differ: {ds_a.feature_dim} vs {ds_b.feature_dim}"
-        )
+    if not self_mode:
+        check_feature_dims(ds_a, ds_b)
     threads = max(1, int(threads))
     na = len(ds_a)
     nb = na if self_mode else len(ds_b)
     out = np.zeros((na, nb))
     if self_mode:
         tasks = [(i, list(range(i + 1, na))) for i in range(na) if i + 1 < na]
-        other = ds_a
     else:
         tasks = [(i, list(range(nb))) for i in range(na)]
-        other = ds_b
-    if threads == 1 or not tasks:
-        _init_worker(ds_a, other, cfg)
+    prep_a = [prepare_graph(g, cfg) for g in ds_a.graphs]
+    prep_b = prep_a if self_mode else [prepare_graph(g, cfg) for g in ds_b.graphs]
+    prepared = prep_a if self_mode else prep_a + prep_b
+    warn_zero_features(sum(p.zero_features for p in prepared), len(prepared))
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        _init_worker(prep_a, prep_b, cfg)
         results = [_row_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker,
-            initargs=(ds_a, other, cfg),
+            max_workers=workers, initializer=_init_worker,
+            initargs=(prep_a, prep_b, cfg),
         ) as pool:
             results = list(pool.map(_row_task, tasks))
     for i, cols, vals in results:
@@ -77,36 +86,61 @@ def _dataset_key(ds):
     return tuple(graph_key(g) for g in ds.graphs)
 
 
+def _canonical(ds_a, ds_b):
+    """The two datasets in canonical order, and whether they were swapped."""
+    swap = _dataset_key(ds_b) < _dataset_key(ds_a)
+    return (ds_b, ds_a, True) if swap else (ds_a, ds_b, False)
+
+
+def _check_w1_inputs(ds_a, ds_b):
+    if len(ds_a) == 0 or len(ds_b) == 0:
+        raise ValueError("datasets must be non-empty")
+    check_feature_dims(*_canonical(ds_a, ds_b)[:2])
+
+
+def _w1(values, ds_a, ds_b):
+    """W1 from the ds_a x ds_b block of distances, solved in the canonical
+    orientation (a swapped pair solves the transposed block with swapped
+    masses), so the value is bitwise symmetric."""
+    ds_a, ds_b, swap = _canonical(ds_a, ds_b)
+    a = np.full(len(ds_a), 1.0 / len(ds_a))
+    b = np.full(len(ds_b), 1.0 / len(ds_b))
+    return solve_transport(values.T if swap else values, a, b).cost
+
+
 def dataset_w1(ds_a, ds_b, cfg, threads=1):
     """Transport distance between datasets under uniform graph masses.
 
     Ground cost is the pairwise tree mover's distance; each graph carries
-    mass 1/len(dataset). Arguments are ordered canonically, so the value is
-    bitwise symmetric.
+    mass 1/len(dataset). The transport is solved in a canonical order of the
+    arguments, so the value is bitwise symmetric.
     """
-    if len(ds_a) == 0 or len(ds_b) == 0:
-        raise ValueError("datasets must be non-empty")
-    if _dataset_key(ds_b) < _dataset_key(ds_a):
-        ds_a, ds_b = ds_b, ds_a
-    dm = pairwise_tmd(ds_a, ds_b, cfg, threads=threads)
-    a = np.full(len(ds_a), 1.0 / len(ds_a))
-    b = np.full(len(ds_b), 1.0 / len(ds_b))
-    return solve_transport(dm.values, a, b).cost
+    _check_w1_inputs(ds_a, ds_b)
+    return _w1(pairwise_tmd(ds_a, ds_b, cfg, threads=threads).values, ds_a, ds_b)
 
 
 def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
     """Rank test datasets by their transport distance from the training set.
 
-    When a Lipschitz product K is supplied, each entry also carries the
-    generalisation-gap term 2 * K * W1. Entries are sorted by increasing W1.
+    One matrix of the training graphs against the graphs of all test sets
+    together, so a report forks at most one worker pool; each test set's W1
+    is bitwise `dataset_w1(train, test)`. When a Lipschitz product K is
+    supplied, each entry also carries the generalisation-gap term 2 * K * W1.
+    Entries are sorted by increasing W1.
     """
-    entries = []
     for ds in tests:
-        w1 = dataset_w1(train, ds, cfg, threads=threads)
-        entry = {"test": ds.name, "w1": w1}
-        if lipschitz_product is not None:
-            entry["risk_gap"] = 2.0 * float(lipschitz_product) * w1
-        entries.append(entry)
+        _check_w1_inputs(train, ds)
+    entries = []
+    if tests:
+        pooled = GraphDataset([g for ds in tests for g in ds.graphs])
+        values = pairwise_tmd(train, pooled, cfg, threads=threads).values
+        stops = np.cumsum([len(ds) for ds in tests])
+        for ds, stop in zip(tests, stops.tolist()):
+            w1 = _w1(values[:, stop - len(ds):stop], train, ds)
+            entry = {"test": ds.name, "w1": w1}
+            if lipschitz_product is not None:
+                entry["risk_gap"] = 2.0 * float(lipschitz_product) * w1
+            entries.append(entry)
     entries.sort(key=lambda e: (e["w1"], e["test"]))
     report = {"train": train.name, "config": cfg.to_json(), "entries": entries}
     if lipschitz_product is not None:

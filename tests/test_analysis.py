@@ -1,10 +1,13 @@
 """Dataset-level tooling: pairwise matrices, kernels, W1, shift reports, CSV."""
 
 import re
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import treemover.analysis as analysis_module
 from treemover import (
     AttributedGraph,
     DatasetFormatError,
@@ -109,6 +112,63 @@ def test_distance_matrix_validation():
     dm = DistanceMatrix(np.zeros((1, 2)), [7], [8, 9])
     assert dm.row_ids == ("7",)
     assert not dm.square
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """ProcessPoolExecutor that records the worker count of every pool."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(analysis_module, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.sizes
+
+
+def test_pairwise_forks_no_idle_workers(pools):
+    ds = make_dataset(4, seed=40)
+    eight = pairwise_tmd(ds, None, CFG, threads=8)
+    assert pools == [3]  # three rows hold the upper triangle
+    assert np.array_equal(eight.values, pairwise_tmd(ds, None, CFG, threads=1).values)
+    pools.clear()
+    pairwise_tmd(make_dataset(2, seed=41), make_dataset(5, seed=42), CFG, threads=8)
+    assert pools == [2]
+    pools.clear()
+    pairwise_tmd(make_dataset(2, seed=43), None, CFG, threads=8)
+    assert pools == []  # one row runs in this process
+
+
+def zero_row_dataset(count, zeros, seed):
+    ds = make_dataset(count, seed)
+    graphs = list(ds.graphs)
+    for i in range(zeros):
+        feats = graphs[i].features.copy()
+        feats[0] = 0.0
+        graphs[i] = AttributedGraph(feats, graphs[i].edges)
+    return GraphDataset(graphs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pairwise_warns_once_about_zero_feature_graphs(threads):
+    cases = [((zero_row_dataset(4, 2, seed=44), None), "2 of 4 graphs"),
+             ((zero_row_dataset(3, 1, seed=45), zero_row_dataset(2, 1, seed=46)),
+              "2 of 5 graphs")]
+    for (ds_a, ds_b), count in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pairwise_tmd(ds_a, ds_b, CFG, threads=threads)
+        assert [str(w.message).split(" contain ")[0] for w in caught] == [count]
+        assert caught[0].category is RuntimeWarning
+        assert "all-zero feature vectors" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairwise_tmd(make_dataset(3, seed=47), None, CFG, threads=threads)
 
 
 # --- gram matrices ---
@@ -317,6 +377,53 @@ def test_shift_report_without_lipschitz():
     rep = shift_report(train, [make_dataset(2, seed=26, name="t")], CFG)
     assert "risk_gap" not in rep["entries"][0]
     assert "lipschitz_product" not in rep
+
+
+def shift_sets():
+    """A training set and test sets on both sides of it in canonical order."""
+    train = make_dataset(3, seed=50, n_lo=3, n_hi=4, name="train")
+    tests = [make_dataset(2, seed=51, n_lo=2, n_hi=2, name="small"),
+             make_dataset(4, seed=52, n_lo=6, n_hi=6, name="large"),
+             make_dataset(3, seed=53, n_lo=3, n_hi=5, name="mixed")]
+    return train, tests
+
+
+def test_shift_report_w1_bitwise_equal_dataset_w1():
+    train, tests = shift_sets()
+    key = analysis_module._dataset_key
+    assert {key(t) < key(train) for t in tests} == {True, False}
+    for mode in ("sum", "mean"):
+        cfg = TmdConfig(depth=3, schedule=pascal_weights(3), mode=mode)
+        rep = shift_report(train, tests + [train], cfg, threads=2)
+        got = {e["test"]: e["w1"] for e in rep["entries"]}
+        assert got.pop("train") == 0.0
+        want = {t.name: dataset_w1(train, t, cfg) for t in tests}
+        assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
+            {k: np.float64(v).tobytes() for k, v in want.items()}
+
+
+def test_shift_report_without_tests():
+    train, _ = shift_sets()
+    assert shift_report(train, [], CFG)["entries"] == []
+
+
+def test_shift_report_rejects_bad_test_sets():
+    train, tests = shift_sets()
+    empty = GraphDataset([], name="none")
+    with pytest.raises(ValueError, match=r"^datasets must be non-empty$"):
+        shift_report(train, tests + [empty], CFG)
+    wide = make_dataset(2, seed=54, dim=3, name="wide")
+    with pytest.raises(ValueError, match=r"^feature dimensions differ: ") as info:
+        shift_report(train, [tests[0], wide], CFG)
+    with pytest.raises(ValueError) as direct:
+        dataset_w1(train, wide, CFG)
+    assert str(info.value) == str(direct.value)
+
+
+def test_shift_report_forks_one_pool(pools):
+    train, tests = shift_sets()
+    shift_report(train, tests, CFG, threads=2)
+    assert pools == [2]
 
 
 def path_bin(sizes, name):

@@ -492,6 +492,25 @@ def test_exit_norm_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exit_norm_overflow_in_a_batch(tmp_path, capsys):
+    # pairs of the first row overflow at different depths
+    d = tmp_path / "graphs"
+    d.mkdir()
+    for name, g in zip("abc", (random_graph(8, 0.5, 3, 4), random_graph(12, 0.5, 3, 2),
+                                random_graph(12, 0.4, 3, 3))):
+        save_graph_json(d / f"{name}.json", g)
+    errors = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.csv"
+        assert main(["dist", "--data", str(d), "--depth", "500",
+                     "--weights", "constant:1.0", "--threads", threads,
+                     "--out", str(out)]) == 3
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert "tree distances overflow at depth " in errors[0]
+    assert errors[0] == errors[1]
+
+
 def test_exit_config_errors(two_cluster_dir, tmp_path):
     d, _ = two_cluster_dir
     out = tmp_path / "m.csv"

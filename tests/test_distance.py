@@ -9,11 +9,11 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 import treemover.distance as distance_module
-from treemover import (AttributedGraph, ConfigError, TmdConfig, build_distance_tables,
-                       constant_weights, naive_tmd, pascal_weights,
-                       permute_nodes, random_graph, tmd, tree_distance,
-                       tree_norm, tree_norm_levels)
-from treemover.graphs import graph_key, neighbor_index
+from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
+                       build_distance_tables, constant_weights, naive_tmd,
+                       pairwise_tmd, pascal_weights, permute_nodes, random_graph,
+                       tmd, tree_distance, tree_norm, tree_norm_levels)
+from treemover.graphs import graph_key
 from treemover.ot import _padded_matrix
 
 from conftest import load_fixture
@@ -415,32 +415,139 @@ def test_one_assignment_per_child_transport_and_final(monkeypatch):
             assert len(calls) == (depth - 1) * with_children[0] * with_children[1] + final
 
 
+def _differential_batch(c):
+    """Every differential pair in both orders, as graphs and as one batch."""
+    graphs = [(a, b) for ga, gb in _differential_pairs() for a, b in ((ga, gb), (gb, ga))]
+    prepared = {g: distance_module.prepare_graph(g, c) for pair in graphs for g in pair}
+    return graphs, [(prepared[a], prepared[b]) for a, b in graphs]
+
+
+def test_one_assignment_per_child_transport_across_a_matrix(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c.shape)
+        return linear_sum_assignment(c)
+
+    monkeypatch.setattr(distance_module, "linear_sum_assignment", counting)
+    graphs = _differential_graphs()
+    with_children = [sum(len(a) > 0 for a in g.neighbors) for g in graphs]
+    half = len(graphs) // 2
+    for depth in (1, 2, 3, 4):
+        def per_pair(i, j):
+            final = int(graphs[i].node_count > 0 and graphs[j].node_count > 0)
+            return (depth - 1) * with_children[i] * with_children[j] + final
+
+        calls.clear()
+        pairwise_tmd(GraphDataset(graphs), None, cfg(depth))
+        n = len(graphs)
+        assert len(calls) == sum(per_pair(i, j) for i in range(n) for j in range(i + 1, n))
+        calls.clear()
+        pairwise_tmd(GraphDataset(graphs[:half]), GraphDataset(graphs[half:]), cfg(depth))
+        assert len(calls) == sum(per_pair(i, j) for i in range(half) for j in range(half, n))
+
+
 def test_child_buckets_hold_every_eligible_pair_once():
-    widened = 0
-    for ga, gb in _differential_pairs():
-        for a, b in ((ga, gb), (gb, ga)):
+    graphs, batch = _differential_batch(cfg(2))
+    starts, ia, ib, core = distance_module._batch_layout(batch)
+    # the cells are the entries of the pairs' tables, blanks included
+    where = [(p, u, v) for p, (a, b) in enumerate(graphs)
+             for u in range(a.node_count + 1) for v in range(b.node_count + 1)]
+    first_a = np.cumsum([0] + [a.node_count + 1 for a, _ in graphs])
+    first_b = np.cumsum([0] + [b.node_count + 1 for _, b in graphs])
+    assert starts == [where.index((p, 0, 0)) for p in range(len(graphs))]
+    assert ia.tolist() == [first_a[p] + u for p, u, _ in where]
+    assert ib.tolist() == [first_b[p] + v for p, _, v in where]
+    assert core.tolist() == [i for i, (p, u, v) in enumerate(where)
+                             if u < graphs[p][0].node_count and v < graphs[p][1].node_count]
+    deg_a = np.concatenate([a.deg for a, _ in batch])[ia]
+    deg_b = np.concatenate([b.deg for _, b in batch])[ib]
+    seen = {}
+    buckets = distance_module._child_buckets(batch, starts, ia, ib, deg_a, deg_b)
+    for cells, gather, offs, s in buckets:
+        assert gather.shape == (len(cells), s, s)
+        assert offs.shape == (len(cells), s)
+        for q, cell in enumerate(cells.tolist()):
+            p, u, v = where[cell]
+            a, b = graphs[p]
             na, nb = a.node_count, b.node_count
-            (deg_a, pad_a), (deg_b, pad_b) = neighbor_index(a), neighbor_index(b)
-            widened += pad_a.shape[1] != pad_b.shape[1] and na > 0 and nb > 0
-            seen = {}
-            for cells, gather, offs, s in distance_module._child_buckets(
-                    deg_a, pad_a, deg_b, pad_b):
-                assert gather.shape == (len(cells), s, s)
-                assert offs.shape == (len(cells), s)
-                for p, cell in enumerate(cells.tolist()):
-                    u, v = divmod(cell, nb)
-                    assert (u, v) not in seen
-                    seen[u, v] = s
-                    row_a = list(a.neighbors[u]) + [na] * (s - len(a.neighbors[u]))
-                    row_b = list(b.neighbors[v]) + [nb] * (s - len(b.neighbors[v]))
-                    assert gather[p].tolist() == [[x * (nb + 1) + y for y in row_b]
-                                                  for x in row_a]
-                    assert offs[p].tolist() == [p * s * s + i * s for i in range(s)]
-            want = {(u, v): max(len(a.neighbors[u]), len(b.neighbors[v]))
-                    for u in range(na) for v in range(nb)
-                    if a.neighbors[u] and b.neighbors[v]}
-            assert seen == want
-    assert widened  # pairs whose largest degrees differ take the widen path
+            assert (p, u, v) not in seen
+            seen[p, u, v] = s
+            row_a = list(a.neighbors[u]) + [na] * (s - len(a.neighbors[u]))
+            row_b = list(b.neighbors[v]) + [nb] * (s - len(b.neighbors[v]))
+            assert gather[q].tolist() == [[starts[p] + x * (nb + 1) + y for y in row_b]
+                                          for x in row_a]
+            assert offs[q].tolist() == [q * s * s + i * s for i in range(s)]
+    want = {(p, u, v): max(len(a.neighbors[u]), len(b.neighbors[v]))
+            for p, (a, b) in enumerate(graphs)
+            for u in range(a.node_count) for v in range(b.node_count)
+            if a.neighbors[u] and b.neighbors[v]}
+    assert seen == want
+    # graphs narrower than the batch's widest neighbour list take the widen path
+    assert len({g.pad.shape[1] for pair in batch for g in pair}) > 1
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_batch_tables_bitwise_equal_per_cell_reference(mode):
+    for schedule in (constant_weights(0.7), pascal_weights(4)):
+        c = TmdConfig(4, schedule, mode)
+        graphs, batch = _differential_batch(c)
+        tables, starts = distance_module._batch_tables(batch, c)
+        ends = [lo + (a.node_count + 1) * (b.node_count + 1)
+                for (a, b), lo in zip(graphs, starts)]
+        assert ends[-1] == len(tables[-1])
+        for (a, b), lo, hi in zip(graphs, starts, ends):
+            want = _reference_tables(a, b, c)
+            assert [t[lo:hi].tobytes() for t in tables] == [t.tobytes() for t in want]
+
+
+def test_pair_distances_split_at_the_entry_bound(monkeypatch):
+    c = TmdConfig(3, pascal_weights(4), "sum")
+    _, batch = _differential_batch(c)
+    assert len(list(distance_module._batches(batch))) == 1
+    whole = np.array(distance_module.pair_distances(batch, c))
+    entries = {(id(a), id(b)): a.node_count * b.node_count
+               * max(a.pad.shape[1], b.pad.shape[1]) ** 2 for a, b in batch}
+    bound = 5000
+    assert max(entries.values()) > bound  # such a pair runs alone
+    runs = []
+    real = distance_module._batch_tables
+
+    def recording(pairs, cfg):
+        runs.append((len(pairs), sum(entries[id(a), id(b)] for a, b in pairs)))
+        return real(pairs, cfg)
+
+    monkeypatch.setattr(distance_module, "_BATCH_ENTRIES", bound)
+    monkeypatch.setattr(distance_module, "_batch_tables", recording)
+    split = np.array(distance_module.pair_distances(batch, c))
+    assert split.tobytes() == whole.tobytes()
+    assert sum(n for n, _ in runs) == len(batch)
+    assert any(n > 1 for n, _ in runs)
+    assert all(n == 1 or e <= bound for n, e in runs)
+
+
+def _differential_graphs():
+    """The distinct graphs of the differential pairs, in a fixed order."""
+    return list(dict.fromkeys(g for pair in _differential_pairs() for g in pair))
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_pairwise_cells_bitwise_equal_tmd(mode):
+    graphs = _differential_graphs()
+    assert {g.node_count for g in graphs} >= {0, 1}
+    half = len(graphs) // 2
+    ds = GraphDataset(graphs)
+    rows, cols = GraphDataset(graphs[:half]), GraphDataset(graphs[half:])
+    for depth in (1, 2, 3, 4):
+        c = TmdConfig(depth, pascal_weights(4), mode)
+        self_matrix = pairwise_tmd(ds, None, c).values
+        cross = pairwise_tmd(rows, cols, c).values
+        for i, ga in enumerate(graphs):
+            for j, gb in enumerate(graphs):
+                want = np.float64(tmd(ga, gb, c)).tobytes()
+                assert self_matrix[i, j].tobytes() == want
+                if i < half <= j:
+                    assert cross[i, j - half].tobytes() == want
 
 
 # ----------------------------------------------------------------- overflow
@@ -467,3 +574,27 @@ def test_sum_mode_norm_overflow_raises_config_error():
             tree_norm_levels(g, depth, c)
     # mean mode stays bounded at the same depth
     assert np.isfinite(tmd(ga, gb, cfg(400, "mean", constant_weights(1.0))))
+
+
+def _overflow_depth(fn):
+    with pytest.raises(ConfigError) as info:
+        fn()
+    return int(re.search(r"overflow at depth (\d+) ", str(info.value)).group(1))
+
+
+def test_batch_overflow_names_first_depth_of_any_pair():
+    c = cfg(500, schedule=constant_weights(1.0))
+    p, s2, s3, d1 = (random_graph(8, 0.5, 3, seed=4), random_graph(12, 0.5, 3, seed=2),
+                     random_graph(12, 0.4, 3, seed=3), random_graph(12, 0.8, 3, seed=1))
+    prep = {g: distance_module.prepare_graph(g, c) for g in (p, s2, s3, d1)}
+    late, early = (prep[s2], prep[s3]), (prep[d1], prep[p])
+    depth_late = _overflow_depth(lambda: distance_module.pair_distances([late], c))
+    depth_early = _overflow_depth(lambda: distance_module.pair_distances([early], c))
+    assert depth_early < depth_late
+    for batch in ([late, early], [early, late]):
+        assert _overflow_depth(lambda: distance_module.pair_distances(batch, c)) == depth_early
+    # a matrix raises the error of its first row that overflows, at any thread count
+    ds = GraphDataset([p, s2, s3, d1])
+    row0 = min(_overflow_depth(lambda: tmd(p, g, c)) for g in (s2, s3, d1))
+    for threads in (1, 2):
+        assert _overflow_depth(lambda: pairwise_tmd(ds, None, c, threads=threads)) == row0

@@ -2,15 +2,18 @@
 
 Graphs have at most 12 nodes, so degrees reach 11, and features drawn from
 {-1, 0, 0.5, 1}, so neighbour rows tie often. The vectorized GIN forward
-pass and tree widths must equal their per-node reference loops bitwise, and
-the forward pass must be bitwise invariant to node relabelling.
+pass and tree widths must equal their per-node reference loops bitwise, the
+forward pass must be bitwise invariant to node relabelling, and a pair's
+distance must not depend on the other pairs of its batch.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemover import AttributedGraph, gin_forward, permute_nodes, random_gin, tree_widths
+from treemover import (AttributedGraph, TmdConfig, constant_weights, gin_forward,
+                       pascal_weights, permute_nodes, random_gin, tree_widths)
+from treemover.distance import pair_distances, prepare_graph
 
 from references import reference_gin_forward, reference_tree_widths
 
@@ -19,9 +22,9 @@ PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 @st.composite
-def graphs(draw, min_nodes=0):
+def graphs(draw, min_nodes=0, dim=None):
     n = draw(st.integers(min_nodes, 12))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3)) if dim is None else dim
     feats = draw(st.lists(st.sampled_from(VALUES), min_size=n * dim, max_size=n * dim))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -60,3 +63,20 @@ def test_tree_widths_equal_per_node_reference(g, data):
     got = tree_widths(g, v, depth)
     want = reference_tree_widths(g, v, depth)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(st.data())
+def test_pair_distance_independent_of_its_batch(data):
+    dim = data.draw(st.integers(1, 3))
+    pairs = data.draw(st.lists(st.tuples(graphs(dim=dim), graphs(dim=dim)),
+                               min_size=1, max_size=4))
+    schedule = data.draw(st.sampled_from([constant_weights(0.7), pascal_weights(3)]))
+    c = TmdConfig(data.draw(st.integers(1, 4)), schedule,
+                  data.draw(st.sampled_from(["sum", "mean"])))
+    batch = [(prepare_graph(a, c), prepare_graph(b, c)) for a, b in pairs]
+    alone = np.array([pair_distances([p], c)[0] for p in batch])
+    order = data.draw(st.permutations(range(len(batch))))
+    assert np.array(pair_distances(batch, c)).tobytes() == alone.tobytes()
+    shuffled = np.array(pair_distances([batch[i] for i in order], c))
+    assert shuffled.tobytes() == alone[list(order)].tobytes()
