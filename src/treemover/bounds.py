@@ -14,6 +14,10 @@ the lambda products undercut the per-level coupling factors.
 Tree norms are always taken in "sum" mode: the mean-mode distance never
 exceeds the sum-mode one, so the bound stays valid for either mode of the
 exact distance being reported.
+
+Each bound prepares the original graph once (`distance.prepare_graph`) and
+takes its tree widths, its norms (in sum mode) and the exact distance from
+that record; in mean mode the norms come from a second, sum-mode record.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import tmd, tree_norm_levels
+from .distance import prepare_graph, prepared_norm_levels, prepared_tmd, tmd
 from .graphs import drop_edge, drop_node, perturb_feature
 from .schedule import TmdConfig
-from .trees import tree_widths
+from .trees import padded_tree_widths
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,21 @@ def lambda_coefficients(schedule, depth):
     return np.asarray(lams)
 
 
-def _sum_norm_levels(g, depth, cfg):
-    return tree_norm_levels(g, depth, TmdConfig(depth, cfg.schedule, "sum"))
+def _widths(p, v, depth):
+    return padded_tree_widths(p.pad[:-1], v, depth)
+
+
+def _sum_norm_levels(g, p, cfg):
+    """Sum-mode tree norms of g at depths 1..cfg.depth; p is g's
+    PreparedGraph under cfg, which serves in sum mode."""
+    sum_cfg = TmdConfig(cfg.depth, cfg.schedule, "sum")
+    if cfg.mode != "sum":
+        p = prepare_graph(g, sum_cfg)
+    return prepared_norm_levels(p, sum_cfg)
+
+
+def _exact(g, p, edited, cfg):
+    return prepared_tmd(g, p, edited, prepare_graph(edited, cfg), cfg)
 
 
 def node_drop_bound(g, v, cfg):
@@ -80,13 +97,14 @@ def node_drop_bound(g, v, cfg):
     if not (0 <= v < g.node_count):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
     depth = cfg.depth
-    widths = tree_widths(g, v, depth)
+    p = prepare_graph(g, cfg)
+    widths = _widths(p, v, depth)
     lams = lambda_coefficients(cfg.schedule, depth)
-    norms = _sum_norm_levels(g, depth, cfg)
+    norms = _sum_norm_levels(g, p, cfg)
     bound = 0.0
     for l in range(1, depth + 1):
         bound += lams[l - 1] * widths[l - 1] * norms[depth - l][v]
-    exact = tmd(g, drop_node(g, v), cfg)
+    exact = _exact(g, p, drop_node(g, v), cfg)
     return PerturbationReport(
         kind="node_drop",
         bound=float(bound),
@@ -107,17 +125,18 @@ def edge_drop_bound(g, u, v, cfg):
     if key not in g.edges:
         raise ValueError(f"edge ({u}, {v}) not present")
     depth = cfg.depth
+    p = prepare_graph(g, cfg)
     lams = lambda_coefficients(cfg.schedule, depth)
-    widths_u = tree_widths(g, u, depth)
-    widths_v = tree_widths(g, v, depth)
-    norms = _sum_norm_levels(g, depth, cfg)
+    widths_u = _widths(p, u, depth)
+    widths_v = _widths(p, v, depth)
+    norms = _sum_norm_levels(g, p, cfg)
     bound = 0.0
     for l in range(1, depth):
         bound += lams[l] * (
             widths_v[l - 1] * norms[depth - l - 1][u]
             + widths_u[l - 1] * norms[depth - l - 1][v]
         )
-    exact = tmd(g, drop_edge(g, u, v), cfg)
+    exact = _exact(g, p, drop_edge(g, u, v), cfg)
     return PerturbationReport(
         kind="edge_drop",
         bound=float(bound),
@@ -144,11 +163,12 @@ def node_perturbation_bound(g, v, x_new, cfg):
             f"feature has dimension {x_new.shape[0]}, graph has {g.feature_dim}"
         )
     depth = cfg.depth
-    widths = tree_widths(g, v, depth)
+    p = prepare_graph(g, cfg)
+    widths = _widths(p, v, depth)
     lams = lambda_coefficients(cfg.schedule, depth)
     delta = float(np.linalg.norm(g.features[v] - x_new))
     bound = float(np.dot(lams, widths.astype(np.float64)) * delta)
-    exact = tmd(g, perturb_feature(g, v, x_new), cfg)
+    exact = _exact(g, p, perturb_feature(g, v, x_new), cfg)
     return PerturbationReport(
         kind="node_perturbation",
         bound=bound,

@@ -6,6 +6,14 @@ to JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or malformed
 input files, 3 invalid configuration. `TMD_THREADS` sets the default worker
 count.
 
+The `tmd` process runs BLAS single-threaded: `entrypoint` sets
+`OPENBLAS_NUM_THREADS=1` unless the user set it. Its child transports are
+matrices of at most a node's degree, where BLAS threads never help, and
+each idle OpenBLAS pool spins on a core after it loads; `--threads` is the
+process's parallelism. Only the entry point sets it, so importing this
+module or calling `main` leaves the environment alone. SciPy's OpenBLAS
+loads after it, with the handler's imports.
+
 Each handler imports the modules it needs beyond the light ones imported
 here, so gram, knn, cluster and wl never load SciPy. dist and shift import
 `analysis`, which loads the engine and SciPy before any worker is forked,
@@ -218,6 +226,8 @@ def cmd_lipschitz(args):
     from .gnn import (empirical_lipschitz, lipschitz_check, load_model_json,
                       matching_config, pearson_r)
 
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     model = load_model_json(args.model)
     cfg = matching_config(model)
     entries = []
@@ -280,6 +290,9 @@ def cmd_perturb(args):
         raise ConfigError(
             "pick exactly one of --drop-node, --drop-edge, --perturb-node"
         )
+    for v in (args.drop_node, args.perturb_node):
+        if v is not None and not (0 <= v < g.node_count):
+            raise ConfigError(f"node {v} out of range for {g.node_count} nodes")
     if args.drop_node is not None:
         rep = node_drop_bound(g, args.drop_node, cfg)
         detail = {"node": args.drop_node}
@@ -431,6 +444,7 @@ def main(argv=None):
 
 
 def entrypoint():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

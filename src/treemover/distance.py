@@ -239,6 +239,7 @@ def _child_transports(prev, buckets, mean):
     flat = prev.reshape(-1)
     for cells, gather, offs, s in buckets:
         c = flat.take(gather)
+        # a comprehension, not map(): cProfile misses builtins called from C
         perms = np.concatenate([linear_sum_assignment(m)[1] for m in c]).reshape(-1, s)
         costs = c.reshape(-1).take(offs + perms).sum(axis=1)
         yield cells, costs / s if mean else costs
@@ -319,6 +320,21 @@ def tree_distance(ga, u, gb, v, depth, cfg):
     return float(tables[-1].dist[u, v])
 
 
+def prepared_norm_levels(p, cfg):
+    """`tree_norm_levels` at cfg.depth, bitwise, from g's PreparedGraph p
+    under cfg: the depth-k norms are p.norms + w(k-1) * p.aggs[k-2], the
+    sum `_norm_recursion` makes. Raises ConfigError as it does.
+    """
+    n = p.node_count
+    levels = [p.norms[:n]]
+    with np.errstate(over="ignore"):
+        for k in range(2, cfg.depth + 1):
+            levels.append(p.norms[:n] + cfg.schedule.weight(k - 1) * p.aggs[k - 2, :n])
+    for k, norms in enumerate(levels, start=1):
+        _check_finite(norms, k, cfg)
+    return levels
+
+
 def tree_norm_levels(g, depth, cfg):
     """Per-node tree norms for every depth 1..depth; list of length `depth`.
 
@@ -362,11 +378,20 @@ def tmd(ga, gb, cfg):
     Arguments are ordered canonically before computing, so the result is
     bitwise symmetric.
     """
-    if graph_key(gb) < graph_key(ga):
-        ga, gb = gb, ga
+    return prepared_tmd(ga, prepare_graph(ga, cfg), gb, prepare_graph(gb, cfg), cfg)
+
+
+def prepared_tmd(ga, a, gb, b, cfg):
+    """`tmd(ga, gb, cfg)`, bitwise, with its checks and warnings, from the
+    PreparedGraphs a of ga and b of gb under cfg."""
+    if b.key < a.key:
+        ga, a, gb, b = gb, b, ga, a
     if ga.node_count == 0 and gb.node_count == 0:
         return 0.0
-    return pair_distances([_prepared_pair(ga, gb, cfg)], cfg)[0]
+    check_feature_dims(ga, gb)
+    for p in (a, b):
+        warn_zero_features(int(p.zero_features), 1)
+    return pair_distances([(a, b)], cfg)[0]
 
 
 # Child-cost entries one batch may gather, counted as cells times squared

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import tmd
+from .distance import prepare_graph, prepared_tmd
 from .graphs import degree_buckets, neighbor_index
 from .schedule import ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled
 
@@ -242,13 +242,23 @@ def gin_forward(model, g):
     Neighbour rows are summed per exact degree in lexicographic order, and
     the pooled node embeddings likewise, so every sum is order-canonical.
     """
+    _check_input(model, g)
+    return _forward(model, g, neighbor_index(g))
+
+
+def _check_input(model, g):
     if g.feature_dim != model.input_dim:
         raise ValueError(
             f"graph feature dimension {g.feature_dim} does not match model "
             f"input {model.input_dim}"
         )
+
+
+def _forward(model, g, index):
+    """`gin_forward` of g, with its degrees and blank-padded neighbour rows
+    as `index` (those of `graphs.neighbor_index`, or a PreparedGraph's)."""
     mean = model.aggregation == "mean"
-    buckets = degree_buckets(*neighbor_index(g))
+    buckets = degree_buckets(*index)
     z = g.features
     for layer in model.layers:
         agg = _neighbor_sums(z, buckets, mean)
@@ -310,8 +320,12 @@ def lipschitz_check(model, ga, gb, cfg=None):
             f"config mode {cfg.mode!r} does not match model aggregation "
             f"{model.aggregation!r}"
         )
-    lhs = float(np.linalg.norm(gin_forward(model, ga) - gin_forward(model, gb)))
-    dist = tmd(ga, gb, cfg)
+    _check_input(model, ga)
+    _check_input(model, gb)
+    a, b = prepare_graph(ga, cfg), prepare_graph(gb, cfg)
+    lhs = float(np.linalg.norm(_forward(model, ga, (a.deg, a.pad))
+                               - _forward(model, gb, (b.deg, b.pad))))
+    dist = prepared_tmd(ga, a, gb, b, cfg)
     rhs = model.lipschitz_product() * dist
     if rhs > 0:
         ratio = lhs / rhs

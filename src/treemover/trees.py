@@ -67,11 +67,16 @@ def tree_widths(g, v, depth):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
     if int(depth) != depth or depth < 1:
         raise ValueError(f"depth must be an integer >= 1, got {depth}")
-    pad = neighbor_index(g)[1]
-    counts = np.zeros(g.node_count + 1, dtype=np.int64)
+    return padded_tree_widths(neighbor_index(g)[1], v, int(depth))
+
+
+def padded_tree_widths(pad, v, depth):
+    """`tree_widths` from the n blank-padded neighbour rows of
+    `graphs.neighbor_index`, without argument checks."""
+    counts = np.zeros(len(pad) + 1, dtype=np.int64)
     counts[v] = 1
     widths = [1]
-    for _ in range(int(depth) - 1):
+    for _ in range(depth - 1):
         counts[:-1] = counts[pad].sum(axis=1)
         widths.append(int(counts.sum()))
     return np.asarray(widths, dtype=np.int64)

@@ -359,6 +359,18 @@ def test_lipschitz_needs_pair_or_data(tmp_path):
                  "--out", str(tmp_path / "l.json")]) == 3
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_lipschitz_pairs_below_one(two_cluster_dir, tmp_path, capsys, pairs):
+    d, _ = two_cluster_dir
+    model = tmp_path / "model.json"
+    save_model_json(model, random_gin(1, 2, 1, seed=0))
+    out = tmp_path / "l.json"
+    assert main(["lipschitz", "--model", str(model), "--data", str(d),
+                 "--pairs", pairs, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: --pairs must be >= 1, got {pairs}\n"
+    assert not out.exists()
+
+
 # --- perturb ---
 
 
@@ -390,6 +402,20 @@ def test_perturb_drop_node_and_feature(tmp_path):
     assert rep["kind"] == "node_perturbation"
     assert rep["bound"] == pytest.approx(4.0)
     assert rep["exact_tmd"] <= rep["bound"] + 1e-9
+
+
+@pytest.mark.parametrize("edit", [
+    ["--drop-node", "99"],
+    ["--drop-node", "-1"],
+    ["--perturb-node", "99", "--feature", "[3.0]"],
+    ["--perturb-node", "-1", "--feature", "[3.0]"],
+])
+def test_perturb_node_out_of_range(tmp_path, capsys, edit):
+    out = tmp_path / "p.json"
+    assert main(["perturb", "--graph", str(fixture_path("edge_pair")), *edit,
+                 "--depth", "2", "--weights", "constant:1.0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: node {edit[1]} out of range for 2 nodes\n"
+    assert not out.exists()
 
 
 def test_perturb_requires_exactly_one_edit(tmp_path):

@@ -1,5 +1,7 @@
 """The dynamic-programming distance: frozen examples, metric laws, naive parity."""
 
+import cProfile
+import pstats
 import re
 import warnings
 
@@ -413,6 +415,22 @@ def test_one_assignment_per_child_transport_and_final(monkeypatch):
             tmd(ga, gb, cfg(depth))
             final = int(ga.node_count > 0 and gb.node_count > 0)
             assert len(calls) == (depth - 1) * with_children[0] * with_children[1] + final
+
+
+def test_profiler_sees_one_assignment_per_child_transport_and_final():
+    # the native function is a builtin: a profiler counts its calls only when
+    # Python code makes them, not when map() or another C function does, so
+    # the monkeypatched count above cannot stand in for this one
+    for ga, gb in _differential_pairs():
+        with_children = [sum(len(a) > 0 for a in g.neighbors) for g in (ga, gb)]
+        for depth in (1, 3):
+            profile = cProfile.Profile()
+            profile.runcall(tmd, ga, gb, cfg(depth))
+            seen = sum(stat[1] for (path, _, func), stat
+                       in pstats.Stats(profile).stats.items()
+                       if path == "~" and func.endswith("linear_sum_assignment>"))
+            final = int(ga.node_count > 0 and gb.node_count > 0)
+            assert seen == (depth - 1) * with_children[0] * with_children[1] + final
 
 
 def _differential_batch(c):

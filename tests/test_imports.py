@@ -1,6 +1,7 @@
 """Import boundaries: which modules a fresh interpreter loads, and the lazy
 package exports. Commands that never solve a transport run without SciPy;
-the first use of the package's public API loads it.
+the first use of the package's public API loads it. Only the `tmd` entry
+point touches the environment: it runs BLAS single-threaded.
 
 Each check runs in a new `sys.executable` process, because this test
 process has long since imported every module.
@@ -23,11 +24,17 @@ from conftest import fixture_path
 SRC = str(Path(treemover.__file__).resolve().parent.parent)
 
 
-def run_fresh(code):
+def run_fresh(code, **overrides):
     """Run `code` in a new interpreter that imports treemover from this
-    checkout; returns the JSON object it prints last."""
+    checkout; returns the JSON object it prints last. Each keyword sets an
+    environment variable, or removes it when None."""
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -78,6 +85,48 @@ def test_solver_loads_before_any_fork(code):
     # pairwise_tmd, or a program that uses the package, forks workers after
     # this; they inherit SciPy instead of each importing it again
     assert "scipy.optimize" in scipy_modules_after(code)
+
+
+def dist_argv(tmp_path):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    for name in ("path3", "triangle", "star4"):
+        (graphs / f"{name}.json").write_text(fixture_path(name).read_text())
+    return ["dist", "--data", str(graphs), "--depth", "2", "--weights", "constant:0.5",
+            "--out", str(tmp_path / "m.csv")]
+
+
+@pytest.mark.parametrize("user", [None, "2"])
+def test_library_use_leaves_the_environment_alone(tmp_path, user):
+    code = ("import contextlib, io, json, os\n"
+            "before = dict(os.environ)\n"
+            "import treemover, treemover.cli\n"
+            "imported = dict(os.environ) == before\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = treemover.cli.main({dist_argv(tmp_path)!r})\n"
+            "print(json.dumps([imported, code, dict(os.environ) == before]))\n")
+    assert run_fresh(code, OPENBLAS_NUM_THREADS=user) == [True, 0, True]
+
+
+@pytest.mark.parametrize("user, seen", [(None, "1"), ("2", "2")])
+def test_tmd_runs_blas_single_threaded_unless_set(tmp_path, user, seen):
+    # what the command handler sees when the entry point runs it: SciPy's
+    # OpenBLAS, which the handler loads, reads the variable when it loads
+    code = ("import json, os, sys\n"
+            "from treemover import cli\n"
+            "real, seen = cli.cmd_dist, []\n"
+            "def spy(args):\n"
+            "    seen.append([os.environ.get('OPENBLAS_NUM_THREADS'), 'scipy' in sys.modules])\n"
+            "    return real(args)\n"
+            "cli.cmd_dist = spy\n"
+            f"sys.argv = ['tmd', *{dist_argv(tmp_path)!r}]\n"
+            "try:\n"
+            "    cli.entrypoint()\n"
+            "except SystemExit as exc:\n"
+            "    seen.append(exc.code)\n"
+            "print(json.dumps(seen))\n")
+    assert run_fresh(code, OPENBLAS_NUM_THREADS=user) == [[seen, False], 0]
+    assert (tmp_path / "m.csv").exists()
 
 
 def test_every_export_resolves_to_its_submodule_object():

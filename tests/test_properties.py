@@ -4,26 +4,38 @@ Graphs have at most 12 nodes, so degrees reach 11, and features drawn from
 {-1, 0, 0.5, 1}, so neighbour rows tie often. The vectorized GIN forward
 pass and tree widths must equal their per-node reference loops bitwise, the
 forward pass must be bitwise invariant to node relabelling, and a pair's
-distance must not depend on the other pairs of its batch.
+distance must not depend on the other pairs of its batch. Every edit bound
+covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
+two sides are bitwise `tmd` and the GIN displacement; and `tmd` agrees with
+the naive recursive evaluator on graphs of at most 10 nodes, at depth at
+most 3 (its bitmask assignments make depth 4 on dense graphs slow).
+
+Features of 0 make all-zero rows common, so the distance's warning about
+them is silenced where a test computes one.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemover import (AttributedGraph, TmdConfig, constant_weights, gin_forward,
-                       pascal_weights, permute_nodes, random_gin, tree_widths)
+from treemover import (AttributedGraph, TmdConfig, constant_weights, drop_edge, drop_node,
+                       edge_drop_bound, gin_forward, lipschitz_check, matching_config,
+                       naive_tmd, node_drop_bound, node_perturbation_bound, pascal_weights,
+                       permute_nodes, perturb_feature, random_gin, tmd, tree_widths)
 from treemover.distance import pair_distances, prepare_graph
 
 from references import reference_gin_forward, reference_tree_widths
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
+SCHEDULES = (constant_weights(0.7), pascal_weights(4))
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+ZERO_ROWS = pytest.mark.filterwarnings("ignore:.*all-zero feature vectors:RuntimeWarning")
 
 
 @st.composite
-def graphs(draw, min_nodes=0, dim=None):
-    n = draw(st.integers(min_nodes, 12))
+def graphs(draw, min_nodes=0, dim=None, max_nodes=12):
+    n = draw(st.integers(min_nodes, max_nodes))
     dim = draw(st.integers(1, 3)) if dim is None else dim
     feats = draw(st.lists(st.sampled_from(VALUES), min_size=n * dim, max_size=n * dim))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -80,3 +92,51 @@ def test_pair_distance_independent_of_its_batch(data):
     assert np.array(pair_distances(batch, c)).tobytes() == alone.tobytes()
     shuffled = np.array(pair_distances([batch[i] for i in order], c))
     assert shuffled.tobytes() == alone[list(order)].tobytes()
+
+
+@st.composite
+def configs(draw, max_depth=4):
+    """Depth at most 4, so the pascal:4 schedule has every w(L) a bound needs."""
+    return TmdConfig(draw(st.integers(1, max_depth)), draw(st.sampled_from(SCHEDULES)),
+                     draw(st.sampled_from(["sum", "mean"])))
+
+
+@ZERO_ROWS
+@settings(PROPERTY, max_examples=300)
+@given(graphs(min_nodes=1), configs(), st.data())
+def test_edit_bounds_cover_their_exact_distance(g, c, data):
+    v = data.draw(st.integers(0, g.node_count - 1))
+    x = data.draw(st.lists(st.sampled_from(VALUES), min_size=g.feature_dim,
+                           max_size=g.feature_dim))
+    reports = [(node_drop_bound(g, v, c), drop_node(g, v)),
+               (node_perturbation_bound(g, v, x, c), perturb_feature(g, v, x))]
+    if g.edges:
+        u, w = data.draw(st.sampled_from(g.edges))
+        reports.append((edge_drop_bound(g, u, w, c), drop_edge(g, u, w)))
+    for rep, edited in reports:
+        assert rep.exact_tmd <= rep.bound + 1e-9 * max(1.0, rep.bound), rep.kind
+        assert rep.exact_tmd.hex() == tmd(g, edited, c).hex(), rep.kind
+
+
+@ZERO_ROWS
+@PROPERTY
+@given(graphs(), st.data())
+def test_lipschitz_check_sides_are_tmd_and_the_displacement(ga, data):
+    gb = data.draw(graphs(dim=ga.feature_dim))
+    m = data.draw(models(ga.feature_dim))
+    chk = lipschitz_check(m, ga, gb)
+    assert chk.tmd_value.hex() == tmd(ga, gb, matching_config(m)).hex()
+    lhs = float(np.linalg.norm(gin_forward(m, ga) - gin_forward(m, gb)))
+    assert chk.lhs.hex() == lhs.hex()
+
+
+@ZERO_ROWS
+@settings(PROPERTY, max_examples=150)
+@given(st.data())
+def test_tmd_matches_naive_evaluator(data):
+    dim = data.draw(st.integers(1, 3))
+    ga = data.draw(graphs(dim=dim, max_nodes=10))
+    gb = data.draw(graphs(dim=dim, max_nodes=10))
+    c = data.draw(configs(max_depth=3))
+    want = naive_tmd(ga, gb, c)
+    assert abs(tmd(ga, gb, c) - want) <= 1e-9 * max(1.0, want)
