@@ -29,12 +29,13 @@ def _init_worker(prep_a, prep_b, cfg):
     _WORKER = (prep_a, prep_b, cfg)
 
 
-def _row_task(args):
-    i, cols = args
-    prep_a, prep_b, cfg = _WORKER
-    a = prep_a[i]
-    pairs = [(b, a) if b.key < a.key else (a, b) for b in (prep_b[j] for j in cols)]
-    return i, cols, pair_distances(pairs, cfg)
+def _row(prep_a, prep_b, cfg, i, cols):
+    return i, cols, pair_distances([(prep_a[i], prep_b[j]) for j in cols], cfg)
+
+
+def _row_task(task):
+    """`_row` in a pool worker, on the records its initializer holds."""
+    return _row(*_WORKER, *task)
 
 
 def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
@@ -64,8 +65,7 @@ def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
     warn_zero_features(sum(p.zero_features for p in prepared), len(prepared))
     workers = min(threads, len(tasks))
     if workers <= 1:
-        _init_worker(prep_a, prep_b, cfg)
-        results = [_row_task(t) for t in tasks]
+        results = [_row(prep_a, prep_b, cfg, *t) for t in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,

@@ -15,9 +15,11 @@ Tree norms are always taken in "sum" mode: the mean-mode distance never
 exceeds the sum-mode one, so the bound stays valid for either mode of the
 exact distance being reported.
 
-Each bound prepares the original graph once (`distance.prepare_graph`) and
-takes its tree widths, its norms (in sum mode) and the exact distance from
-that record; in mean mode the norms come from a second, sum-mode record.
+Each bound makes its edit first, so the edit operations of `graphs` are
+the only checks of its arguments. It then prepares the original graph once
+(`distance.prepare_graph`) and takes its tree widths, its norms (in sum
+mode) and the exact distance from that record; in mean mode the norms come
+from a second, sum-mode record.
 """
 
 from __future__ import annotations
@@ -83,8 +85,16 @@ def _sum_norm_levels(g, p, cfg):
     return prepared_norm_levels(p, sum_cfg)
 
 
-def _exact(g, p, edited, cfg):
-    return prepared_tmd(g, p, edited, prepare_graph(edited, cfg), cfg)
+def _report(kind, bound, p, edited, widths, lams, cfg):
+    """The report of an edit of the graph whose PreparedGraph under cfg is
+    p; widths holds the width vector of each node involved."""
+    return PerturbationReport(
+        kind=kind,
+        bound=float(bound),
+        exact_tmd=prepared_tmd(p, prepare_graph(edited, cfg), cfg),
+        widths=tuple(tuple(int(w) for w in ws) for ws in widths),
+        lambdas=tuple(float(x) for x in lams),
+    )
 
 
 def node_drop_bound(g, v, cfg):
@@ -94,8 +104,7 @@ def node_drop_bound(g, v, cfg):
     width_l of v's own tree counts them, and each drags a depth-(L - l + 1)
     subtree of v to a blank.
     """
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
+    edited = drop_node(g, v)
     depth = cfg.depth
     p = prepare_graph(g, cfg)
     widths = _widths(p, v, depth)
@@ -104,14 +113,7 @@ def node_drop_bound(g, v, cfg):
     bound = 0.0
     for l in range(1, depth + 1):
         bound += lams[l - 1] * widths[l - 1] * norms[depth - l][v]
-    exact = _exact(g, p, drop_node(g, v), cfg)
-    return PerturbationReport(
-        kind="node_drop",
-        bound=float(bound),
-        exact_tmd=exact,
-        widths=(tuple(int(w) for w in widths),),
-        lambdas=tuple(float(x) for x in lams),
-    )
+    return _report("node_drop", bound, p, edited, (widths,), lams, cfg)
 
 
 def edge_drop_bound(g, u, v, cfg):
@@ -121,9 +123,7 @@ def edge_drop_bound(g, u, v, cfg):
     versa, one level deeper than the occurrence itself; depth-1 distances
     cannot see edges, so the bound is 0 when depth == 1.
     """
-    key = (u, v) if u < v else (v, u)
-    if key not in g.edges:
-        raise ValueError(f"edge ({u}, {v}) not present")
+    edited = drop_edge(g, u, v)
     depth = cfg.depth
     p = prepare_graph(g, cfg)
     lams = lambda_coefficients(cfg.schedule, depth)
@@ -136,17 +136,7 @@ def edge_drop_bound(g, u, v, cfg):
             widths_v[l - 1] * norms[depth - l - 1][u]
             + widths_u[l - 1] * norms[depth - l - 1][v]
         )
-    exact = _exact(g, p, drop_edge(g, u, v), cfg)
-    return PerturbationReport(
-        kind="edge_drop",
-        bound=float(bound),
-        exact_tmd=exact,
-        widths=(
-            tuple(int(w) for w in widths_u),
-            tuple(int(w) for w in widths_v),
-        ),
-        lambdas=tuple(float(x) for x in lams),
-    )
+    return _report("edge_drop", bound, p, edited, (widths_u, widths_v), lams, cfg)
 
 
 def node_perturbation_bound(g, v, x_new, cfg):
@@ -155,27 +145,14 @@ def node_perturbation_bound(g, v, x_new, cfg):
     Every occurrence of v contributes the feature displacement once, so the
     bound is linear in ||x_v - x_new||.
     """
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
-    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
-    if x_new.shape[0] != g.feature_dim:
-        raise ValueError(
-            f"feature has dimension {x_new.shape[0]}, graph has {g.feature_dim}"
-        )
+    edited = perturb_feature(g, v, x_new)
     depth = cfg.depth
     p = prepare_graph(g, cfg)
     widths = _widths(p, v, depth)
     lams = lambda_coefficients(cfg.schedule, depth)
-    delta = float(np.linalg.norm(g.features[v] - x_new))
-    bound = float(np.dot(lams, widths.astype(np.float64)) * delta)
-    exact = _exact(g, p, perturb_feature(g, v, x_new), cfg)
-    return PerturbationReport(
-        kind="node_perturbation",
-        bound=bound,
-        exact_tmd=exact,
-        widths=(tuple(int(w) for w in widths),),
-        lambdas=tuple(float(x) for x in lams),
-    )
+    delta = float(np.linalg.norm(g.features[v] - edited.features[v]))
+    bound = np.dot(lams, widths.astype(np.float64)) * delta
+    return _report("node_perturbation", bound, p, edited, (widths,), lams, cfg)
 
 
 def edit_sequence_bound(g, edits, cfg):

@@ -103,10 +103,9 @@ def _config_from_args(args):
     return TmdConfig(args.depth, parse_weights(args.weights), args.mode)
 
 
-def _add_config_flags(p, need_depth=True):
-    if need_depth:
-        p.add_argument("--depth", type=int, required=True,
-                       help="tree depth L of the distance")
+def _add_config_flags(p):
+    p.add_argument("--depth", type=int, required=True,
+                   help="tree depth L of the distance")
     p.add_argument("--weights", required=True,
                    help="'constant:C' or 'pascal:DEPTH[,EPSILON]'")
     p.add_argument("--mode", choices=("sum", "mean"), default="sum")
@@ -137,22 +136,22 @@ def cmd_gram(args):
     return 0
 
 
-def _read_labels(path):
+def _read_labels(path, rows):
+    """Integer labels, one per non-blank line, for a matrix of `rows` rows."""
     with open(path) as fh:
         toks = [ln.strip() for ln in fh if ln.strip()]
     try:
-        return [int(t) for t in toks]
+        labels = [int(t) for t in toks]
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: labels must be integers: {exc}") from exc
+    if len(labels) != rows:
+        raise ConfigError(f"{len(labels)} labels for a {rows}-row matrix")
+    return labels
 
 
 def cmd_knn(args):
     dm = load_distance_csv(args.matrix)
-    labels = _read_labels(args.labels)
-    if len(labels) != dm.values.shape[0]:
-        raise ConfigError(
-            f"{len(labels)} labels for a {dm.values.shape[0]}-row matrix"
-        )
+    labels = _read_labels(args.labels, dm.values.shape[0])
     acc = loo_knn_accuracy(dm.values, labels, args.k)
     report = {
         "matrix": args.matrix,
@@ -183,11 +182,7 @@ def cmd_cluster(args):
         "iterations": result.n_iter,
     }
     if args.labels:
-        labels = _read_labels(args.labels)
-        if len(labels) != dm.values.shape[0]:
-            raise ConfigError(
-                f"{len(labels)} labels for a {dm.values.shape[0]}-row matrix"
-            )
+        labels = _read_labels(args.labels, dm.values.shape[0])
         report["nmi"] = nmi(labels, assignments)
         report["completeness"] = completeness_score(labels, assignments)
     _write_json(args.out, report)

@@ -21,28 +21,35 @@ neighbour list padded with the blank index (n_a on the a-side, n_b on the
 b-side) gathers exactly the padded child cost matrix, with norms against
 blanks and 0 for blank against blank.
 
-The engine runs on batches of graph pairs. Each graph is prepared once
-(`prepare_graph`: its neighbour index, tree norms and their child terms,
-and its zero-feature check), with one more node for the blank: a leaf of
-norm 0, so a table's norm row and column follow the rule of any leaf
-against a tree. A batch concatenates the tables of its pairs into one flat
-array per depth, with per-pair offsets, and groups its cells (node pairs)
-by padded size once, with one stable sort (`graphs.group_indices`). Each
-depth then makes, per size, one `take` that gathers the (P, s, s) child
-costs of every pair, one assignment per cell whose nodes both have
-neighbours, and one `take` of the assigned entries at precomputed row
-offsets. A cell's value does not depend on the other pairs of its batch.
-`tmd` and `build_distance_tables` run a batch of one, and
-`analysis.pairwise_tmd` runs each matrix row through `pair_distances`,
-whose batches are as large as a bound on their memory allows (a whole row
-of molecule-sized graphs). Tree norms come from the recursion behind
-`tree_norm_levels`, which sums neighbour norms per exact degree (never over
-zero-padded rows), so every sum runs over the same values in the same
-order as a per-node loop.
+Each graph is prepared once under a config (`prepare_graph`: its neighbour
+index, tree norms and their child terms, and its zero-feature check), with
+one more node for the blank: a leaf of norm 0, so a table's norm row and
+column follow the rule of any leaf against a tree. Tree norms are distances
+to the blank tree, so they come only from a record: `tree_norm_levels` and
+`tree_norm` prepare one and read `prepared_norm_levels`. The recursion sums
+neighbour norms per exact degree (never over zero-padded rows), so every
+sum runs over the same values in the same order as a per-node loop.
+
+The engine runs on batches of graph pairs. A batch concatenates the tables
+of its pairs into one flat array per depth, with per-pair offsets, and
+groups its cells (node pairs) by padded size once, with one stable sort
+(`graphs.group_indices`). Each depth then makes, per size, one `take` that
+gathers the (P, s, s) child costs of every pair, one assignment per cell
+whose nodes both have neighbours, and one `take` of the assigned entries at
+precomputed row offsets. A cell's value does not depend on the other pairs
+of its batch. `pair_distances` is the one entry to the distance: it puts
+each pair in canonical key order, so every value is bitwise symmetric, and
+runs batches as large as a bound on their memory allows (a whole matrix
+row of molecule-sized graphs). `tmd` and the bounds reach it through
+`prepared_tmd`, and `analysis.pairwise_tmd` directly. A pair's checks and
+warnings have one home too, `_check_pair`, and every zero-feature warning
+names the caller's line outside the package (or in its command line).
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,20 +84,31 @@ class DistanceTable:
         return self.dist[-1, :-1]
 
 
-def _has_zero_rows(g):
-    return g.node_count > 0 and not np.all(np.any(g.features != 0.0, axis=1))
+_PACKAGE = os.path.dirname(__file__) + os.sep
+_CLI = _PACKAGE + "cli.py"
+
+
+def _in_library(frame):
+    path = frame.f_code.co_filename
+    return path.startswith(_PACKAGE) and path != _CLI
 
 
 def warn_zero_features(count, total):
-    """Warn, for the caller's caller, that `count` of `total` graphs hold
-    all-zero feature vectors."""
+    """Warn that `count` of `total` graphs hold all-zero feature vectors.
+
+    The warning names the first line on the stack outside the package or in
+    its command line: the caller's line in whichever entry point led here.
+    """
     if count:
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and _in_library(frame):
+            frame, level = frame.f_back, level + 1
         subject = "graph contains" if total == 1 else f"{count} of {total} graphs contain"
         warnings.warn(
             f"{subject} all-zero feature vectors; they are indistinguishable "
             "from padding blanks at depth 1",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -101,33 +119,30 @@ def check_feature_dims(a, b):
         )
 
 
-def _norm_recursion(g, deg, pad, depth, cfg):
-    """Tree norms of every node at depths 1..depth, and their child terms.
+def _norm_recursion(g, deg, pad, cfg):
+    """The child terms of every node's tree norms at depths 1..cfg.depth.
 
-    Returns (levels, terms): levels[k-1][v] is the norm of v's depth-k
-    tree. terms has shape (depth, n + 1): terms[0] holds the depth-1 norms
-    and terms[k-1] (k >= 2) the (mode-scaled) sum of each node's children's
-    depth-(k-1) norms, which is also the child transport of its tree against
-    a leaf's; the last column, for the blank tree, is 0. Norms that overflow
+    Returns terms of shape (cfg.depth, n + 1): terms[0] holds the depth-1
+    norms and terms[k-1] (k >= 2) the (mode-scaled) sum of each node's
+    children's depth-(k-1) norms, which is also the child transport of its
+    tree against a leaf's; the last column, for the blank tree, is 0. The
+    depth-k norms are terms[0] + w(k-1) * terms[k-1]. Norms that overflow
     come back as inf, without a warning.
     """
     mean = cfg.mode == "mean"
     n = g.node_count
     buckets = degree_buckets(deg, pad)
-    terms = np.zeros((depth, n + 1))
+    terms = np.zeros((cfg.depth, n + 1))
     with np.errstate(over="ignore"):
         base = np.linalg.norm(g.features, axis=1)
-        terms[0, :n] = base
-        levels = [base]
-        for k in range(2, depth + 1):
-            w = cfg.schedule.weight(k - 1)
-            prev = levels[-1]
+        terms[0, :n] = prev = base
+        for k in range(2, cfg.depth + 1):
             agg = terms[k - 1, :n]
             for nodes, nbrs, d in buckets:
                 total = prev[nbrs].sum(axis=1)
                 agg[nodes] = total / d if mean else total
-            levels.append(base + w * agg)
-    return levels, terms
+            prev = base + cfg.schedule.weight(k - 1) * agg
+    return terms
 
 
 def _check_finite(values, depth, cfg):
@@ -171,16 +186,21 @@ class PreparedGraph(NamedTuple):
     def node_count(self):
         return len(self.deg) - 1
 
+    @property
+    def feature_dim(self):
+        return self.features.shape[1]
+
 
 def prepare_graph(g, cfg):
     """The PreparedGraph of g under cfg."""
     n = g.node_count
     deg, pad = neighbor_index(g)
-    terms = _norm_recursion(g, deg, pad, cfg.depth, cfg)[1]
+    terms = _norm_recursion(g, deg, pad, cfg)
     blank_pad = np.full((n + 1, pad.shape[1]), n, dtype=np.intp)
     blank_pad[:n] = pad
+    zero_features = n > 0 and not np.all(np.any(g.features != 0.0, axis=1))
     return PreparedGraph(g.features, graph_key(g), np.concatenate((deg, [0])), blank_pad,
-                         terms[0], terms[1:], _has_zero_rows(g))
+                         terms[0], terms[1:], zero_features)
 
 
 def _batch_layout(pairs):
@@ -293,19 +313,21 @@ def _batch_tables(pairs, cfg):
     return tables, starts
 
 
-def _prepared_pair(ga, gb, cfg):
-    """Both graphs prepared, after the checks and warnings of a single pair."""
-    check_feature_dims(ga, gb)
-    pair = (prepare_graph(ga, cfg), prepare_graph(gb, cfg))
-    for p in pair:
+def _check_pair(a, b):
+    """The checks and warnings of one pair of PreparedGraphs: their feature
+    dimensions must agree, and each graph with an all-zero feature vector
+    warns."""
+    check_feature_dims(a, b)
+    for p in (a, b):
         warn_zero_features(int(p.zero_features), 1)
-    return pair
 
 
 def build_distance_tables(ga, gb, cfg):
     """All DistanceTables for depths 1..cfg.depth between two graphs."""
+    a, b = prepare_graph(ga, cfg), prepare_graph(gb, cfg)
+    _check_pair(a, b)
     shape = (ga.node_count + 1, gb.node_count + 1)
-    tables = _batch_tables([_prepared_pair(ga, gb, cfg)], cfg)[0]
+    tables = _batch_tables([(a, b)], cfg)[0]
     return [DistanceTable(k, t.reshape(shape)) for k, t in enumerate(tables, start=1)]
 
 
@@ -321,9 +343,10 @@ def tree_distance(ga, u, gb, v, depth, cfg):
 
 
 def prepared_norm_levels(p, cfg):
-    """`tree_norm_levels` at cfg.depth, bitwise, from g's PreparedGraph p
-    under cfg: the depth-k norms are p.norms + w(k-1) * p.aggs[k-2], the
-    sum `_norm_recursion` makes. Raises ConfigError as it does.
+    """Per-node tree norms at depths 1..cfg.depth of the graph whose
+    PreparedGraph under cfg is p: the depth-k norms are
+    p.norms + w(k-1) * p.aggs[k-2], the sum `_norm_recursion` makes.
+    Raises ConfigError naming the first depth whose norms overflow.
     """
     n = p.node_count
     levels = [p.norms[:n]]
@@ -340,20 +363,21 @@ def tree_norm_levels(g, depth, cfg):
 
     The norm of a tree is its distance to the blank tree: the root feature
     norm plus the weighted (mode-scaled) sum of child tree norms. Raises
-    ConfigError naming the first depth whose norms overflow.
+    ConfigError for a depth below 1, and naming the first depth whose norms
+    overflow.
     """
-    levels = _norm_recursion(g, *neighbor_index(g), depth, cfg)[0]
-    for k, norms in enumerate(levels, start=1):
-        _check_finite(norms, k, cfg)
-    return levels
+    local = TmdConfig(depth, cfg.schedule, cfg.mode)
+    return prepared_norm_levels(prepare_graph(g, local), local)
 
 
 def tree_norm(g, v, depth, cfg):
     """Distance between the depth-`depth` tree rooted at v and the blank tree."""
     if not (0 <= v < g.node_count):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
-    warn_zero_features(int(_has_zero_rows(g)), 1)
-    return float(tree_norm_levels(g, depth, cfg)[-1][v])
+    local = TmdConfig(depth, cfg.schedule, cfg.mode)
+    p = prepare_graph(g, local)
+    warn_zero_features(int(p.zero_features), 1)
+    return float(prepared_norm_levels(p, local)[-1][v])
 
 
 def _final_cost(last, na, nb, mean):
@@ -375,22 +399,16 @@ def _final_cost(last, na, nb, mean):
 def tmd(ga, gb, cfg):
     """Tree mover's distance at cfg.depth between two attributed graphs.
 
-    Arguments are ordered canonically before computing, so the result is
-    bitwise symmetric.
+    The pair is taken in canonical order (see `pair_distances`), so the
+    result is bitwise symmetric.
     """
-    return prepared_tmd(ga, prepare_graph(ga, cfg), gb, prepare_graph(gb, cfg), cfg)
+    return prepared_tmd(prepare_graph(ga, cfg), prepare_graph(gb, cfg), cfg)
 
 
-def prepared_tmd(ga, a, gb, b, cfg):
-    """`tmd(ga, gb, cfg)`, bitwise, with its checks and warnings, from the
-    PreparedGraphs a of ga and b of gb under cfg."""
-    if b.key < a.key:
-        ga, a, gb, b = gb, b, ga, a
-    if ga.node_count == 0 and gb.node_count == 0:
-        return 0.0
-    check_feature_dims(ga, gb)
-    for p in (a, b):
-        warn_zero_features(int(p.zero_features), 1)
+def prepared_tmd(a, b, cfg):
+    """`tmd`, bitwise, with its checks and warnings, of the graphs whose
+    PreparedGraphs under cfg are a and b."""
+    _check_pair(a, b)
     return pair_distances([(a, b)], cfg)[0]
 
 
@@ -418,14 +436,15 @@ def _batches(pairs):
 def pair_distances(pairs, cfg):
     """The tree mover's distance of each (a, b) pair of PreparedGraphs.
 
-    Pairs run in consecutive batches, as many per batch as _BATCH_ENTRIES
-    allows. Each pair is taken in the order given; in canonical key order
-    its value is bitwise `tmd`'s. Raises ConfigError naming the first depth
-    at which any pair of the first overflowing batch overflows.
+    Each pair is put in canonical key order, so its value does not depend
+    on the order of its two graphs and is bitwise `tmd`'s. Pairs run in
+    consecutive batches, as many per batch as _BATCH_ENTRIES allows. Raises
+    ConfigError naming the first depth at which any pair of the first
+    overflowing batch overflows.
     """
     mean = cfg.mode == "mean"
     out = []
-    for batch in _batches(pairs):
+    for batch in _batches([(b, a) if b.key < a.key else (a, b) for a, b in pairs]):
         tables, starts = _batch_tables(batch, cfg)
         for (a, b), start in zip(batch, starts):
             na, nb = a.node_count, b.node_count

@@ -1,7 +1,9 @@
 """Dataset-level tooling: pairwise matrices, kernels, W1, shift reports, CSV."""
 
+import gc
 import re
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -142,6 +144,24 @@ def test_pairwise_forks_no_idle_workers(pools):
     pools.clear()
     pairwise_tmd(make_dataset(2, seed=43), None, CFG, threads=8)
     assert pools == []  # one row runs in this process
+
+
+def test_serial_matrix_keeps_no_prepared_graph(monkeypatch):
+    pads = []
+    real = analysis_module.prepare_graph
+
+    def capturing(g, cfg):
+        p = real(g, cfg)
+        pads.append(weakref.ref(p.pad))
+        return p
+
+    monkeypatch.setattr(analysis_module, "prepare_graph", capturing)
+    for ds_b in (None, make_dataset(2, seed=49)):
+        pads.clear()
+        pairwise_tmd(make_dataset(3, seed=48), ds_b, CFG, threads=1)
+        gc.collect()
+        assert len(pads) == (3 if ds_b is None else 5)
+        assert all(ref() is None for ref in pads)
 
 
 def zero_row_dataset(count, zeros, seed):

@@ -19,6 +19,7 @@ from treemover import (
     save_graph_json,
     save_model_json,
 )
+import treemover.cli as cli_module
 from treemover.cli import main, parse_weights
 
 from conftest import fixture_path
@@ -206,6 +207,17 @@ def test_knn_label_count_mismatch(two_cluster_dir, tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 3
 
 
+def test_cluster_label_count_mismatch(two_cluster_dir, tmp_path, capsys):
+    d, _ = two_cluster_dir
+    mat = tmp_path / "m.csv"
+    run_dist(d, mat)
+    short = tmp_path / "short.txt"
+    short.write_text("0\n1\n")
+    assert main(["cluster", "--matrix", str(mat), "--k", "2", "--labels", str(short),
+                 "--out", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err == "error: 2 labels for a 6-row matrix\n"
+
+
 def test_knn_non_integer_labels(two_cluster_dir, tmp_path):
     d, _ = two_cluster_dir
     mat = tmp_path / "m.csv"
@@ -385,6 +397,15 @@ def test_perturb_drop_edge_frozen(tmp_path):
     assert rep["bound"] == pytest.approx(2.0)
     assert rep["exact_tmd"] == pytest.approx(2.0)
     assert rep["edge"] == [0, 1]
+
+
+def test_perturb_zero_feature_warning_names_the_handler(tmp_path):
+    g = tmp_path / "g.json"
+    save_graph_json(g, AttributedGraph(np.array([[0.0], [1.0]]), [(0, 1)]))
+    with pytest.warns(RuntimeWarning, match="all-zero feature vectors") as caught:
+        assert main(["perturb", "--graph", str(g), "--drop-node", "1", "--depth", "2",
+                     "--weights", "constant:1.0", "--out", str(tmp_path / "p.json")]) == 0
+    assert {w.filename for w in caught} == {cli_module.__file__}
 
 
 def test_perturb_drop_node_and_feature(tmp_path):

@@ -12,9 +12,11 @@ from scipy.spatial.distance import cdist
 
 import treemover.distance as distance_module
 from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
-                       build_distance_tables, constant_weights, naive_tmd,
-                       pairwise_tmd, pascal_weights, permute_nodes, random_graph,
-                       tmd, tree_distance, tree_norm, tree_norm_levels)
+                       build_distance_tables, constant_weights, dataset_w1,
+                       edge_drop_bound, edit_sequence_bound, lipschitz_check, naive_tmd,
+                       node_drop_bound, node_perturbation_bound, pairwise_tmd,
+                       pascal_weights, permute_nodes, random_gin, random_graph,
+                       shift_report, tmd, tree_distance, tree_norm, tree_norm_levels)
 from treemover.graphs import graph_key
 from treemover.ot import _padded_matrix
 
@@ -151,6 +153,53 @@ def test_zero_feature_rows_warn():
     h = load_fixture("edge_pair")
     with pytest.warns(RuntimeWarning):
         tmd(g, h, cfg(2))
+
+
+def test_empty_graphs_of_different_feature_dims_rejected():
+    a, b = AttributedGraph(np.zeros((0, 3)), []), AttributedGraph(np.zeros((0, 5)), [])
+    for fn in (tmd, naive_tmd):
+        with pytest.raises(ValueError, match="feature dimensions differ: 3 vs 5"):
+            fn(a, b, cfg(2))
+
+
+def test_norms_at_depth_zero_raise_config_error():
+    g = load_fixture("edge_pair")
+    with pytest.raises(ConfigError, match="depth must be an integer >= 1, got 0"):
+        tree_norm_levels(g, 0, cfg(2))
+    with pytest.raises(ConfigError, match="depth must be an integer >= 1, got 0"):
+        tree_norm(g, 1, 0, cfg(2))
+
+
+def _zero_row_calls():
+    """One call of every entry that can warn about all-zero feature vectors."""
+    g = AttributedGraph(np.array([[0.0], [1.0], [2.0]]), [(0, 1), (1, 2)])
+    h = load_fixture("edge_pair")
+    c = cfg(2)
+    model = random_gin(1, 2, 1, seed=0)
+    return {
+        "tmd": lambda: tmd(g, h, c),
+        "build_distance_tables": lambda: build_distance_tables(g, h, c),
+        "tree_distance": lambda: tree_distance(g, 0, h, 0, 2, c),
+        "tree_norm": lambda: tree_norm(g, 1, 2, c),
+        "pairwise_tmd": lambda: pairwise_tmd(GraphDataset([g, h]), None, c),
+        "dataset_w1": lambda: dataset_w1(GraphDataset([g]), GraphDataset([h]), c),
+        "shift_report": lambda: shift_report(GraphDataset([h]), [GraphDataset([g])], c),
+        "node_drop_bound": lambda: node_drop_bound(g, 2, c),
+        "edge_drop_bound": lambda: edge_drop_bound(g, 1, 2, c),
+        "node_perturbation_bound": lambda: node_perturbation_bound(g, 2, [3.0], c),
+        "edit_sequence_bound": lambda: edit_sequence_bound(g, [("drop_node", 2)], c),
+        "lipschitz_check": lambda: lipschitz_check(model, g, h),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_zero_row_calls()))
+def test_zero_feature_warning_names_the_callers_line(entry):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _zero_row_calls()[entry]()
+    found = [w for w in caught if "all-zero feature vectors" in str(w.message)]
+    assert found
+    assert all(w.filename == __file__ for w in found), [w.filename for w in found]
 
 
 # ------------------------------------------------------------- metric laws

@@ -68,6 +68,13 @@ def test_spectral_norm_rank_deficient():
     assert spectral_norm(w) == pytest.approx(2.0, rel=1e-10)
 
 
+def test_spectral_norm_near_degenerate_top_singular_values():
+    # the two largest singular values 1 and 1 - 1e-6, in a rotated basis
+    q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+    for w in (np.diag([1.0, 1.0 - 1e-6]), q @ np.diag([1.0, 1.0 - 1e-6, 0.3]) @ q.T):
+        assert spectral_norm(w) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_spectral_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         spectral_norm(np.array([1.0, 2.0]))

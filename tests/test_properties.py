@@ -8,7 +8,10 @@ distance must not depend on the other pairs of its batch. Every edit bound
 covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
 two sides are bitwise `tmd` and the GIN displacement; and `tmd` agrees with
 the naive recursive evaluator on graphs of at most 10 nodes, at depth at
-most 3 (its bitmask assignments make depth 4 on dense graphs slow).
+most 3 (its bitmask assignments make depth 4 on dense graphs slow). In sum
+mode `tmd` is a pseudometric: bitwise symmetric, 0 on a graph and itself,
+and within rounding of the triangle inequality. A matrix's bytes do not
+depend on its worker count (few examples: each one forks a pool).
 
 Features of 0 make all-zero rows common, so the distance's warning about
 them is silenced where a test computes one.
@@ -19,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemover import (AttributedGraph, TmdConfig, constant_weights, drop_edge, drop_node,
-                       edge_drop_bound, gin_forward, lipschitz_check, matching_config,
-                       naive_tmd, node_drop_bound, node_perturbation_bound, pascal_weights,
-                       permute_nodes, perturb_feature, random_gin, tmd, tree_widths)
+from treemover import (AttributedGraph, GraphDataset, TmdConfig, constant_weights, drop_edge,
+                       drop_node, edge_drop_bound, gin_forward, lipschitz_check,
+                       matching_config, naive_tmd, node_drop_bound, node_perturbation_bound,
+                       pairwise_tmd, pascal_weights, permute_nodes, perturb_feature,
+                       random_gin, tmd, tree_widths)
 from treemover.distance import pair_distances, prepare_graph
 
 from references import reference_gin_forward, reference_tree_widths
@@ -140,3 +144,30 @@ def test_tmd_matches_naive_evaluator(data):
     c = data.draw(configs(max_depth=3))
     want = naive_tmd(ga, gb, c)
     assert abs(tmd(ga, gb, c) - want) <= 1e-9 * max(1.0, want)
+
+
+@ZERO_ROWS
+@PROPERTY
+@given(st.data())
+def test_sum_mode_metric_axioms(data):
+    dim = data.draw(st.integers(1, 3))
+    a, b, c = (data.draw(graphs(dim=dim)) for _ in range(3))
+    cfg = TmdConfig(data.draw(st.integers(1, 4)), data.draw(st.sampled_from(SCHEDULES)), "sum")
+    ab = tmd(a, b, cfg)
+    assert ab.hex() == tmd(b, a, cfg).hex()
+    assert tmd(a, a, cfg) == 0.0
+    ac = tmd(a, c, cfg)
+    assert ac <= ab + tmd(b, c, cfg) + 1e-9 * max(1.0, ac)
+
+
+@ZERO_ROWS
+@settings(PROPERTY, max_examples=6)
+@given(st.data())
+def test_pairwise_tmd_bytes_independent_of_threads(data):
+    dim = data.draw(st.integers(1, 3))
+    gs = data.draw(st.lists(graphs(dim=dim), min_size=3, max_size=6))
+    k = data.draw(st.integers(1, len(gs) - 1))
+    cfg = data.draw(configs())
+    for ds_a, ds_b in ((GraphDataset(gs), None), (GraphDataset(gs[:k]), GraphDataset(gs[k:]))):
+        one = pairwise_tmd(ds_a, ds_b, cfg, threads=1).values
+        assert pairwise_tmd(ds_a, ds_b, cfg, threads=2).values.tobytes() == one.tobytes()
