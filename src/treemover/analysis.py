@@ -59,8 +59,8 @@ def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
         tasks = [(i, list(range(i + 1, na))) for i in range(na) if i + 1 < na]
     else:
         tasks = [(i, list(range(nb))) for i in range(na)]
-    prep_a = [prepare_graph(g, cfg) for g in ds_a.graphs]
-    prep_b = prep_a if self_mode else [prepare_graph(g, cfg) for g in ds_b.graphs]
+    prep_a = [prepare_graph(g) for g in ds_a.graphs]
+    prep_b = prep_a if self_mode else [prepare_graph(g) for g in ds_b.graphs]
     prepared = prep_a if self_mode else prep_a + prep_b
     warn_zero_features(sum(p.zero_features for p in prepared), len(prepared))
     workers = min(threads, len(tasks))

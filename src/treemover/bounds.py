@@ -15,11 +15,13 @@ Tree norms are always taken in "sum" mode: the mean-mode distance never
 exceeds the sum-mode one, so the bound stays valid for either mode of the
 exact distance being reported.
 
-Each bound makes its edit first, so the edit operations of `graphs` are
-the only checks of its arguments. It then prepares the original graph once
-(`distance.prepare_graph`) and takes its tree widths, its norms (in sum
-mode) and the exact distance from that record; in mean mode the norms come
-from a second, sum-mode record.
+Each bound is a private step and its report. The step makes the edit
+first, so the edit operations of `graphs` are the only checks of its
+arguments, then prepares the original graph once (`distance.prepare_graph`,
+a record valid under every config) and takes its tree widths and its
+sum-mode norms from that record. The report adds the exact distance from
+the same record. `edit_sequence_bound` sums the steps and computes one
+exact distance, from the original to the final graph.
 """
 
 from __future__ import annotations
@@ -76,22 +78,64 @@ def _widths(p, v, depth):
     return padded_tree_widths(p.pad[:-1], v, depth)
 
 
-def _sum_norm_levels(g, p, cfg):
-    """Sum-mode tree norms of g at depths 1..cfg.depth; p is g's
-    PreparedGraph under cfg, which serves in sum mode."""
-    sum_cfg = TmdConfig(cfg.depth, cfg.schedule, "sum")
-    if cfg.mode != "sum":
-        p = prepare_graph(g, sum_cfg)
-    return prepared_norm_levels(p, sum_cfg)
+def _sum_norm_levels(p, cfg):
+    """Sum-mode tree norms at depths 1..cfg.depth of the graph whose
+    PreparedGraph is p."""
+    return prepared_norm_levels(p, TmdConfig(cfg.depth, cfg.schedule, "sum"))
 
 
-def _report(kind, bound, p, edited, widths, lams, cfg):
-    """The report of an edit of the graph whose PreparedGraph under cfg is
-    p; widths holds the width vector of each node involved."""
+def _node_drop(g, v, cfg):
+    """The step of `node_drop_bound`: (edited, record of g, bound, widths, lambdas)."""
+    edited = drop_node(g, v)
+    depth = cfg.depth
+    p = prepare_graph(g)
+    widths = _widths(p, v, depth)
+    lams = lambda_coefficients(cfg.schedule, depth)
+    norms = _sum_norm_levels(p, cfg)
+    bound = 0.0
+    for l in range(1, depth + 1):
+        bound += lams[l - 1] * widths[l - 1] * norms[depth - l][v]
+    return edited, p, bound, (widths,), lams
+
+
+def _edge_drop(g, u, v, cfg):
+    """The step of `edge_drop_bound`: (edited, record of g, bound, widths, lambdas)."""
+    edited = drop_edge(g, u, v)
+    depth = cfg.depth
+    p = prepare_graph(g)
+    lams = lambda_coefficients(cfg.schedule, depth)
+    widths_u = _widths(p, u, depth)
+    widths_v = _widths(p, v, depth)
+    norms = _sum_norm_levels(p, cfg)
+    bound = 0.0
+    for l in range(1, depth):
+        bound += lams[l] * (
+            widths_v[l - 1] * norms[depth - l - 1][u]
+            + widths_u[l - 1] * norms[depth - l - 1][v]
+        )
+    return edited, p, bound, (widths_u, widths_v), lams
+
+
+def _node_perturbation(g, v, x_new, cfg):
+    """The step of `node_perturbation_bound`: (edited, record of g, bound, widths, lambdas)."""
+    edited = perturb_feature(g, v, x_new)
+    depth = cfg.depth
+    p = prepare_graph(g)
+    widths = _widths(p, v, depth)
+    lams = lambda_coefficients(cfg.schedule, depth)
+    delta = float(np.linalg.norm(g.features[v] - edited.features[v]))
+    bound = np.dot(lams, widths.astype(np.float64)) * delta
+    return edited, p, bound, (widths,), lams
+
+
+def _report(kind, step, cfg):
+    """The report of an edit step: its bound against the exact distance
+    between the original and the edited graph."""
+    edited, p, bound, widths, lams = step
     return PerturbationReport(
         kind=kind,
         bound=float(bound),
-        exact_tmd=prepared_tmd(p, prepare_graph(edited, cfg), cfg),
+        exact_tmd=prepared_tmd(p, prepare_graph(edited), cfg),
         widths=tuple(tuple(int(w) for w in ws) for ws in widths),
         lambdas=tuple(float(x) for x in lams),
     )
@@ -104,16 +148,7 @@ def node_drop_bound(g, v, cfg):
     width_l of v's own tree counts them, and each drags a depth-(L - l + 1)
     subtree of v to a blank.
     """
-    edited = drop_node(g, v)
-    depth = cfg.depth
-    p = prepare_graph(g, cfg)
-    widths = _widths(p, v, depth)
-    lams = lambda_coefficients(cfg.schedule, depth)
-    norms = _sum_norm_levels(g, p, cfg)
-    bound = 0.0
-    for l in range(1, depth + 1):
-        bound += lams[l - 1] * widths[l - 1] * norms[depth - l][v]
-    return _report("node_drop", bound, p, edited, (widths,), lams, cfg)
+    return _report("node_drop", _node_drop(g, v, cfg), cfg)
 
 
 def edge_drop_bound(g, u, v, cfg):
@@ -123,20 +158,7 @@ def edge_drop_bound(g, u, v, cfg):
     versa, one level deeper than the occurrence itself; depth-1 distances
     cannot see edges, so the bound is 0 when depth == 1.
     """
-    edited = drop_edge(g, u, v)
-    depth = cfg.depth
-    p = prepare_graph(g, cfg)
-    lams = lambda_coefficients(cfg.schedule, depth)
-    widths_u = _widths(p, u, depth)
-    widths_v = _widths(p, v, depth)
-    norms = _sum_norm_levels(g, p, cfg)
-    bound = 0.0
-    for l in range(1, depth):
-        bound += lams[l] * (
-            widths_v[l - 1] * norms[depth - l - 1][u]
-            + widths_u[l - 1] * norms[depth - l - 1][v]
-        )
-    return _report("edge_drop", bound, p, edited, (widths_u, widths_v), lams, cfg)
+    return _report("edge_drop", _edge_drop(g, u, v, cfg), cfg)
 
 
 def node_perturbation_bound(g, v, x_new, cfg):
@@ -145,14 +167,10 @@ def node_perturbation_bound(g, v, x_new, cfg):
     Every occurrence of v contributes the feature displacement once, so the
     bound is linear in ||x_v - x_new||.
     """
-    edited = perturb_feature(g, v, x_new)
-    depth = cfg.depth
-    p = prepare_graph(g, cfg)
-    widths = _widths(p, v, depth)
-    lams = lambda_coefficients(cfg.schedule, depth)
-    delta = float(np.linalg.norm(g.features[v] - edited.features[v]))
-    bound = np.dot(lams, widths.astype(np.float64)) * delta
-    return _report("node_perturbation", bound, p, edited, (widths,), lams, cfg)
+    return _report("node_perturbation", _node_perturbation(g, v, x_new, cfg), cfg)
+
+
+_STEPS = {"drop_node": _node_drop, "drop_edge": _edge_drop, "perturb": _node_perturbation}
 
 
 def edit_sequence_bound(g, edits, cfg):
@@ -160,23 +178,15 @@ def edit_sequence_bound(g, edits, cfg):
 
     edits are ("drop_node", v) / ("drop_edge", u, v) / ("perturb", v, x).
     The per-step bounds telescope through the triangle inequality, so the
-    summed bound covers the distance from the original to the final graph.
-    Returns (total_bound, exact_tmd, final_graph).
+    summed bound covers the distance from the original to the final graph,
+    the one exact distance computed. Returns (total_bound, exact_tmd,
+    final_graph).
     """
     cur = g
     total = 0.0
-    for edit in edits:
-        op = edit[0]
-        if op == "drop_node":
-            rep = node_drop_bound(cur, edit[1], cfg)
-            cur = drop_node(cur, edit[1])
-        elif op == "drop_edge":
-            rep = edge_drop_bound(cur, edit[1], edit[2], cfg)
-            cur = drop_edge(cur, edit[1], edit[2])
-        elif op == "perturb":
-            rep = node_perturbation_bound(cur, edit[1], edit[2], cfg)
-            cur = perturb_feature(cur, edit[1], edit[2])
-        else:
+    for op, *args in edits:
+        if op not in _STEPS:
             raise ValueError(f"unknown edit {op!r}")
-        total += rep.bound
+        cur, _, bound, _, _ = _STEPS[op](cur, *args, cfg)
+        total += float(bound)
     return float(total), tmd(g, cur, cfg), cur

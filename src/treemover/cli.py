@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .graphs import (DatasetFormatError, GraphDataset, load_dataset_json,
-                     load_graph_json, standardize_datasets)
+                     load_graph_json, standardize_datasets, write_json)
 from .learn import kmedoids, loo_knn_accuracy, majority_rate, nmi, completeness_score
 from .matrix import DistanceMatrix, gram_matrix, load_distance_csv, save_distance_csv
 from .schedule import ConfigError, TmdConfig, constant_weights, pascal_weights
@@ -91,12 +91,6 @@ def load_dataset(path, name=None):
         graphs = tuple(load_graph_json(f) for f in files)
         return GraphDataset(graphs, None, os.path.basename(os.path.normpath(path)))
     raise FileNotFoundError(f"no such dataset path: {path}")
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
 
 
 def _config_from_args(args):
@@ -161,7 +155,7 @@ def cmd_knn(args):
         "majority_rate": float(majority_rate(labels)),
         "count": len(labels),
     }
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"wrote {args.out}")
     return 0
 
@@ -185,7 +179,7 @@ def cmd_cluster(args):
         labels = _read_labels(args.labels, dm.values.shape[0])
         report["nmi"] = nmi(labels, assignments)
         report["completeness"] = completeness_score(labels, assignments)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     if args.assignments:
         with open(args.assignments, "w") as fh:
             fh.write("graph_id,cluster_id\n")
@@ -212,7 +206,7 @@ def cmd_shift(args):
     report = shift_report(train, tests, cfg,
                           lipschitz_product=args.lipschitz_product,
                           threads=args.threads)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"wrote {args.out}")
     return 0
 
@@ -269,7 +263,7 @@ def cmd_lipschitz(args):
         report["pearson_r"] = pearson_r(lhs, dists)
     except ValueError:
         report["pearson_r"] = None
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"wrote {args.out}")
     return 0
 
@@ -306,7 +300,7 @@ def cmd_perturb(args):
         detail = {"node": args.perturb_node, "feature": x}
     report = {"graph": args.graph, "config": cfg.to_json(), **detail,
               **rep.to_json()}
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"wrote {args.out}")
     return 0
 
@@ -324,7 +318,7 @@ def cmd_wl(args):
         "distinguishable": first is not None,
         "iteration": first,
     }
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"wrote {args.out}")
     return 0
 
@@ -427,9 +421,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

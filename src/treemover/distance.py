@@ -21,23 +21,27 @@ neighbour list padded with the blank index (n_a on the a-side, n_b on the
 b-side) gathers exactly the padded child cost matrix, with norms against
 blanks and 0 for blank against blank.
 
-Each graph is prepared once under a config (`prepare_graph`: its neighbour
-index, tree norms and their child terms, and its zero-feature check), with
-one more node for the blank: a leaf of norm 0, so a table's norm row and
-column follow the rule of any leaf against a tree. Tree norms are distances
-to the blank tree, so they come only from a record: `tree_norm_levels` and
-`tree_norm` prepare one and read `prepared_norm_levels`. The recursion sums
-neighbour norms per exact degree (never over zero-padded rows), so every
-sum runs over the same values in the same order as a per-node loop.
+Each graph is prepared once (`prepare_graph`: its neighbour index, feature
+norms and zero-feature check), with one more node for the blank: a leaf of
+norm 0. The record does not depend on the config. A tree against a leaf
+(the blank included) moves each child to a blank, so its child transport is
+the (mode-scaled) sum of its children's entries in the previous table's
+blank column or row; the sum runs over exactly the tree's children, one
+bucket per degree, never over padding. So a table's blank row and column
+are the tree norms at every depth, and tree norms come only from there:
+`prepared_norm_levels` is the blank column of a graph's tables against the
+empty graph, read by `tree_norm_levels`, `tree_norm` and the bounds.
 
 The engine runs on batches of graph pairs. A batch concatenates the tables
 of its pairs into one flat array per depth, with per-pair offsets, and
-groups its cells (node pairs) by padded size once, with one stable sort
-(`graphs.group_indices`). Each depth then makes, per size, one `take` that
-gathers the (P, s, s) child costs of every pair, one assignment per cell
-whose nodes both have neighbours, and one `take` of the assigned entries at
-precomputed row offsets. A cell's value does not depend on the other pairs
-of its batch. `pair_distances` is the one entry to the distance: it puts
+groups its cells (node pairs) once, with one stable sort
+(`graphs.group_indices`): cells of two trees by padded size, cells of a
+tree against a leaf by the tree's degree. Each depth then makes, per size,
+one `take` that gathers the (P, s, s) child costs of every pair, one
+assignment per cell whose nodes both have neighbours, and one `take` of the
+assigned entries at precomputed row offsets; per degree, one `take` and
+one sum for the leaf cells, which make no assignment. A cell's value does
+not depend on the other pairs of its batch. `pair_distances` is the one entry to the distance: it puts
 each pair in canonical key order, so every value is bitwise symmetric, and
 runs batches as large as a bound on their memory allows (a whole matrix
 row of molecule-sized graphs). `tmd` and the bounds reach it through
@@ -58,7 +62,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .graphs import degree_buckets, graph_key, group_indices, neighbor_index
+from .graphs import AttributedGraph, graph_key, group_indices, neighbor_index
 from .schedule import ConfigError, TmdConfig
 
 
@@ -119,32 +123,6 @@ def check_feature_dims(a, b):
         )
 
 
-def _norm_recursion(g, deg, pad, cfg):
-    """The child terms of every node's tree norms at depths 1..cfg.depth.
-
-    Returns terms of shape (cfg.depth, n + 1): terms[0] holds the depth-1
-    norms and terms[k-1] (k >= 2) the (mode-scaled) sum of each node's
-    children's depth-(k-1) norms, which is also the child transport of its
-    tree against a leaf's; the last column, for the blank tree, is 0. The
-    depth-k norms are terms[0] + w(k-1) * terms[k-1]. Norms that overflow
-    come back as inf, without a warning.
-    """
-    mean = cfg.mode == "mean"
-    n = g.node_count
-    buckets = degree_buckets(deg, pad)
-    terms = np.zeros((cfg.depth, n + 1))
-    with np.errstate(over="ignore"):
-        base = np.linalg.norm(g.features, axis=1)
-        terms[0, :n] = prev = base
-        for k in range(2, cfg.depth + 1):
-            agg = terms[k - 1, :n]
-            for nodes, nbrs, d in buckets:
-                total = prev[nbrs].sum(axis=1)
-                agg[nodes] = total / d if mean else total
-            prev = base + cfg.schedule.weight(k - 1) * agg
-    return terms
-
-
 def _check_finite(values, depth, cfg):
     if not np.all(np.isfinite(values)):
         raise ConfigError(
@@ -164,14 +142,14 @@ def _widen(pad, width, blank):
 
 
 class PreparedGraph(NamedTuple):
-    """The per-graph part of the distance under one config, computed once.
+    """The per-graph part of the distance, computed once and valid under
+    every config.
 
     Every per-node array has one more entry, for the blank tree, at index n:
     a leaf with norm 0. key is `graph_key`, which orders a pair canonically;
     deg and pad are `graphs.neighbor_index` (the blank's row all blank);
-    norms are the depth-1 tree norms and aggs[k-2] the depth-k child terms
-    of `_norm_recursion`; zero_features tells whether some node has an
-    all-zero feature vector.
+    norms are the depth-1 tree norms (the feature norms); zero_features
+    tells whether some node has an all-zero feature vector.
     """
 
     features: np.ndarray
@@ -179,7 +157,6 @@ class PreparedGraph(NamedTuple):
     deg: np.ndarray
     pad: np.ndarray
     norms: np.ndarray
-    aggs: np.ndarray
     zero_features: bool
 
     @property
@@ -191,16 +168,19 @@ class PreparedGraph(NamedTuple):
         return self.features.shape[1]
 
 
-def prepare_graph(g, cfg):
-    """The PreparedGraph of g under cfg."""
+def prepare_graph(g):
+    """The PreparedGraph of g."""
     n = g.node_count
     deg, pad = neighbor_index(g)
-    terms = _norm_recursion(g, deg, pad, cfg)
     blank_pad = np.full((n + 1, pad.shape[1]), n, dtype=np.intp)
     blank_pad[:n] = pad
+    norms = np.zeros(n + 1)
+    # a norm that overflows is inf, reported by the tables' overflow check
+    with np.errstate(over="ignore"):
+        norms[:n] = np.linalg.norm(g.features, axis=1)
     zero_features = n > 0 and not np.all(np.any(g.features != 0.0, axis=1))
     return PreparedGraph(g.features, graph_key(g), np.concatenate((deg, [0])), blank_pad,
-                         terms[0], terms[1:], zero_features)
+                         norms, zero_features)
 
 
 def _batch_layout(pairs):
@@ -227,38 +207,56 @@ def _batch_layout(pairs):
 
 
 def _child_buckets(pairs, starts, ia, ib, deg_a, deg_b):
-    """A batch's cells whose neighbour lists are both non-empty, by padded size.
+    """A batch's cells with neighbours on at least one side, grouped once.
 
     deg_a and deg_b are the degrees of each cell's two nodes. Returns
-    (cells, gather, offs, s) per size s = max(deg u, deg v): cells holds
-    the cells in ascending order, gather the (P, s, s) flat indices into
-    the batch's flat tables that pick each cell's blank-padded child cost
-    matrix, and offs the (P, s) flat offsets p*s*s + i*s of each row of
-    those P matrices.
+    (transports, leaves), each bucket's cells in ascending order.
+    transports holds (cells, gather, offs, s) per size s = max(deg u, deg v)
+    of the cells whose nodes both have neighbours: gather the (P, s, s) flat
+    indices into the batch's flat tables that pick each cell's blank-padded
+    child cost matrix, and offs the (P, s) flat offsets p*s*s + i*s of each
+    row of those P matrices. leaves holds (cells, gather, d) per degree d of
+    the tree in the cells of a tree against a leaf (the blank included):
+    gather the (P, d) flat indices of the tree's children's entries in the
+    blank column (a-side tree) or blank row (b-side tree).
     """
     size = np.maximum(deg_a, deg_b)
-    size[(deg_a == 0) | (deg_b == 0)] = 0
+    # a tree against a leaf is keyed by minus its degree, two leaves by 0
+    size[(deg_a == 0) | (deg_b == 0)] *= -1
     width = max(max(a.pad.shape[1], b.pad.shape[1]) for a, b in pairs)
     # each a-side node's neighbours as rows of its pair's table, and each
     # b-side node's as columns, blank-padded to the batch's width
     rows = np.concatenate([start + _widen(a.pad, width, a.node_count) * len(b.deg)
                            for (a, b), start in zip(pairs, starts)])
     cols = np.concatenate([_widen(b.pad, width, b.node_count) for _, b in pairs])
-    out = []
-    for s, cells in group_indices(size):
-        if s:
-            gather = (rows[:, :s].take(ia[cells], axis=0)[:, :, None]
-                      + cols[:, :s].take(ib[cells], axis=0)[:, None, :])
+    transports, leaves = [], []
+    for key, cells in group_indices(size):
+        s = abs(key)
+        if not s:
+            continue
+        row = rows[:, :s].take(ia[cells], axis=0)
+        col = cols[:, :s].take(ib[cells], axis=0)
+        if key > 0:
             offs = np.arange(len(cells))[:, None] * (s * s) + np.arange(s) * s
-            out.append((cells, gather, offs, s))
-    return out
+            transports.append((cells, row[:, :, None] + col[:, None, :], offs, s))
+        else:
+            # the leaf's neighbour row is all blank, so row + col runs along
+            # the tree's children against the blank
+            leaves.append((cells, row + col, s))
+    return transports, leaves
 
 
-def _child_transports(prev, buckets, mean):
-    """Yield (cells, costs): the child transport values of each bucket."""
-    flat = prev.reshape(-1)
-    for cells, gather, offs, s in buckets:
-        c = flat.take(gather)
+def _child_costs(prev, transports, leaves, mean):
+    """Yield (cells, costs): the child transport values of each bucket.
+
+    A tree against a leaf moves each child to a blank, at the child's norm,
+    so its cost is a sum over exactly its children, with no padding.
+    """
+    for cells, gather, d in leaves:
+        costs = prev.take(gather).sum(axis=1)
+        yield cells, costs / d if mean else costs
+    for cells, gather, offs, s in transports:
+        c = prev.take(gather)
         # a comprehension, not map(): cProfile misses builtins called from C
         perms = np.concatenate([linear_sum_assignment(m)[1] for m in c]).reshape(-1, s)
         costs = c.reshape(-1).take(offs + perms).sum(axis=1)
@@ -274,38 +272,30 @@ def _batch_tables(pairs, cfg):
     Raises ConfigError naming the first depth at which the table of any pair
     in the batch overflows.
 
-    The blank is a leaf, so its row and column follow the leaf rule below:
-    a tree's norm at depth k is its feature norm plus w(k-1) times its
-    child term, the same sum `_norm_recursion` makes.
+    The blank is a leaf, so the norm row and column follow the leaf rule of
+    `_child_costs`: a tree's norm at depth k is its feature norm plus w(k-1)
+    times the (mode-scaled) sum of its children's depth-(k-1) norms.
     """
     starts, ia, ib, core = _batch_layout(pairs)
-    side_a = [a for a, _ in pairs]
-    side_b = [b for _, b in pairs]
     # depth 1: feature distances; a node against a blank costs its norm
-    base = (np.concatenate([a.norms for a in side_a])[ia]
-            + np.concatenate([b.norms for b in side_b])[ib])
+    base = (np.concatenate([a.norms for a, _ in pairs])[ia]
+            + np.concatenate([b.norms for _, b in pairs])[ib])
     base[core] = np.concatenate([cdist(a.features, b.features).reshape(-1)
                                  for a, b in pairs])
     if cfg.depth > 1:
-        deg_a = np.concatenate([a.deg for a in side_a])[ia]
-        deg_b = np.concatenate([b.deg for b in side_b])[ib]
-        buckets = _child_buckets(pairs, starts, ia, ib, deg_a, deg_b)
-        # child terms at depths 2..L; a leaf against a tree costs the tree's
-        # own child term
-        children = np.zeros((cfg.depth - 1, len(base)))
-        leaf = deg_a == 0
-        children[:, leaf] = np.concatenate([b.aggs for b in side_b], axis=1)[:, ib[leaf]]
-        leaf = deg_b == 0
-        children[:, leaf] = np.concatenate([a.aggs for a in side_a], axis=1)[:, ia[leaf]]
+        deg_a = np.concatenate([a.deg for a, _ in pairs])[ia]
+        deg_b = np.concatenate([b.deg for _, b in pairs])[ib]
+        transports, leaves = _child_buckets(pairs, starts, ia, ib, deg_a, deg_b)
 
     tables = [base]
     # overflow shows as inf and is reported by _check_finite
     with np.errstate(over="ignore"):
         _check_finite(base, 1, cfg)
         for k in range(2, cfg.depth + 1):
-            child = children[k - 2]
-            for cells, costs in _child_transports(tables[-1], buckets,
-                                                  cfg.mode == "mean"):
+            # two leaves cost 0
+            child = np.zeros(len(base))
+            for cells, costs in _child_costs(tables[-1], transports, leaves,
+                                             cfg.mode == "mean"):
                 child[cells] = costs
             cur = base + cfg.schedule.weight(k - 1) * child
             _check_finite(cur, k, cfg)
@@ -324,7 +314,7 @@ def _check_pair(a, b):
 
 def build_distance_tables(ga, gb, cfg):
     """All DistanceTables for depths 1..cfg.depth between two graphs."""
-    a, b = prepare_graph(ga, cfg), prepare_graph(gb, cfg)
+    a, b = prepare_graph(ga), prepare_graph(gb)
     _check_pair(a, b)
     shape = (ga.node_count + 1, gb.node_count + 1)
     tables = _batch_tables([(a, b)], cfg)[0]
@@ -344,18 +334,12 @@ def tree_distance(ga, u, gb, v, depth, cfg):
 
 def prepared_norm_levels(p, cfg):
     """Per-node tree norms at depths 1..cfg.depth of the graph whose
-    PreparedGraph under cfg is p: the depth-k norms are
-    p.norms + w(k-1) * p.aggs[k-2], the sum `_norm_recursion` makes.
-    Raises ConfigError naming the first depth whose norms overflow.
+    PreparedGraph is p: the blank column of its tables against the empty
+    graph. Raises ConfigError naming the first depth whose norms overflow.
     """
     n = p.node_count
-    levels = [p.norms[:n]]
-    with np.errstate(over="ignore"):
-        for k in range(2, cfg.depth + 1):
-            levels.append(p.norms[:n] + cfg.schedule.weight(k - 1) * p.aggs[k - 2, :n])
-    for k, norms in enumerate(levels, start=1):
-        _check_finite(norms, k, cfg)
-    return levels
+    empty = prepare_graph(AttributedGraph(np.zeros((0, p.feature_dim))))
+    return [t[:n] for t in _batch_tables([(p, empty)], cfg)[0]]
 
 
 def tree_norm_levels(g, depth, cfg):
@@ -366,8 +350,7 @@ def tree_norm_levels(g, depth, cfg):
     ConfigError for a depth below 1, and naming the first depth whose norms
     overflow.
     """
-    local = TmdConfig(depth, cfg.schedule, cfg.mode)
-    return prepared_norm_levels(prepare_graph(g, local), local)
+    return prepared_norm_levels(prepare_graph(g), TmdConfig(depth, cfg.schedule, cfg.mode))
 
 
 def tree_norm(g, v, depth, cfg):
@@ -375,7 +358,7 @@ def tree_norm(g, v, depth, cfg):
     if not (0 <= v < g.node_count):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
-    p = prepare_graph(g, local)
+    p = prepare_graph(g)
     warn_zero_features(int(p.zero_features), 1)
     return float(prepared_norm_levels(p, local)[-1][v])
 
@@ -402,12 +385,12 @@ def tmd(ga, gb, cfg):
     The pair is taken in canonical order (see `pair_distances`), so the
     result is bitwise symmetric.
     """
-    return prepared_tmd(prepare_graph(ga, cfg), prepare_graph(gb, cfg), cfg)
+    return prepared_tmd(prepare_graph(ga), prepare_graph(gb), cfg)
 
 
 def prepared_tmd(a, b, cfg):
     """`tmd`, bitwise, with its checks and warnings, of the graphs whose
-    PreparedGraphs under cfg are a and b."""
+    PreparedGraphs are a and b."""
     _check_pair(a, b)
     return pair_distances([(a, b)], cfg)[0]
 

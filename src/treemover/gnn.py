@@ -16,13 +16,12 @@ ratio by ||W'_l||_2 instead of eps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
-from .graphs import degree_buckets, neighbor_index
+from .graphs import DatasetFormatError, degree_buckets, neighbor_index, read_json, write_json
 from .schedule import ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled
 
 
@@ -292,7 +291,7 @@ def lipschitz_check(model, ga, gb, cfg=None):
         )
     _check_input(model, ga)
     _check_input(model, gb)
-    a, b = prepare_graph(ga, cfg), prepare_graph(gb, cfg)
+    a, b = prepare_graph(ga), prepare_graph(gb)
     lhs = float(np.linalg.norm(_forward(model, ga, (a.deg, a.pad))
                                - _forward(model, gb, (b.deg, b.pad))))
     dist = prepared_tmd(a, b, cfg)
@@ -371,16 +370,12 @@ def model_from_json(obj):
             aggregation=obj.get("aggregation", "sum"),
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad model JSON: {exc}") from exc
+        raise DatasetFormatError(f"bad model JSON: {exc}") from exc
 
 
 def save_model_json(path, model):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model_json(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return model_from_json(obj)
+    return model_from_json(read_json(path))

@@ -265,19 +265,29 @@ def graph_from_json(obj, feature_dim=1):
         raise DatasetFormatError(f"bad graph JSON: {exc}") from exc
 
 
-def save_graph_json(path, g):
+def read_json(path):
+    """The JSON value in the file at path; a file that does not hold JSON
+    raises DatasetFormatError naming path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path, obj):
+    """Write obj to path as JSON indented by 2, with a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
+def save_graph_json(path, g):
+    write_json(path, graph_to_json(g))
+
+
 def load_graph_json(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return graph_from_json(obj)
+    return graph_from_json(read_json(path))
 
 
 def dataset_to_json(ds):
@@ -296,18 +306,11 @@ def dataset_from_json(obj):
 
 
 def save_dataset_json(path, ds):
-    with open(path, "w") as fh:
-        json.dump(dataset_to_json(ds), fh, indent=2)
-        fh.write("\n")
+    write_json(path, dataset_to_json(ds))
 
 
 def load_dataset_json(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return dataset_from_json(obj)
+    return dataset_from_json(read_json(path))
 
 
 def standardize_datasets(datasets):

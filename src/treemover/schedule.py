@@ -78,6 +78,19 @@ def constant_weights(c):
     return WeightSchedule(kind="constant", constant=c)
 
 
+def _pascal_table(depth, scales):
+    """w(1)..w(depth) with w(l) = s_l * C(depth, l-1) / C(depth, l).
+
+    Raises ConfigError for a depth that is not an integer >= 1; scales then
+    maps the depth to its checked per-level scales s_1..s_depth.
+    """
+    if int(depth) != depth or depth < 1:
+        raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
+    depth = int(depth)
+    return tuple(s * comb(depth, l - 1) / comb(depth, l)
+                 for l, s in enumerate(scales(depth), start=1))
+
+
 def pascal_weights(depth, epsilon=1.0):
     """Ratio-of-binomials schedule: w(l) = epsilon * C(depth, l-1) / C(depth, l).
 
@@ -85,14 +98,14 @@ def pascal_weights(depth, epsilon=1.0):
     epsilon*depth, the profile under which message-passing contractions
     telescope in the stability bound.
     """
-    if int(depth) != depth or depth < 1:
-        raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
-    depth = int(depth)
     epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    table = tuple(epsilon * comb(depth, l - 1) / comb(depth, l) for l in range(1, depth + 1))
-    return WeightSchedule(kind="pascal", epsilon=epsilon, table=table)
+
+    def checked(depth):
+        if not epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {epsilon}")
+        return [epsilon] * depth
+
+    return WeightSchedule(kind="pascal", epsilon=epsilon, table=_pascal_table(depth, checked))
 
 
 def pascal_weights_scaled(depth, scales):
@@ -101,18 +114,15 @@ def pascal_weights_scaled(depth, scales):
     scales[l-1] replaces epsilon at level l; used when each aggregation step
     has its own contraction factor.
     """
-    if int(depth) != depth or depth < 1:
-        raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
-    depth = int(depth)
-    scales = [float(s) for s in scales]
-    if len(scales) != depth:
-        raise ConfigError(f"need {depth} scales, got {len(scales)}")
-    if any(not s > 0 for s in scales):
-        raise ConfigError("scales must be positive")
-    table = tuple(
-        scales[l - 1] * comb(depth, l - 1) / comb(depth, l) for l in range(1, depth + 1)
-    )
-    return WeightSchedule(kind="pascal_scaled", table=table)
+    def checked(depth):
+        values = [float(s) for s in scales]
+        if len(values) != depth:
+            raise ConfigError(f"need {depth} scales, got {len(values)}")
+        if any(not s > 0 for s in values):
+            raise ConfigError("scales must be positive")
+        return values
+
+    return WeightSchedule(kind="pascal_scaled", table=_pascal_table(depth, checked))
 
 
 _MODES = ("sum", "mean")

@@ -150,8 +150,8 @@ def test_serial_matrix_keeps_no_prepared_graph(monkeypatch):
     pads = []
     real = analysis_module.prepare_graph
 
-    def capturing(g, cfg):
-        p = real(g, cfg)
+    def capturing(g):
+        p = real(g)
         pads.append(weakref.ref(p.pad))
         return p
 

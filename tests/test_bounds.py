@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import treemover.bounds as bounds_module
+import treemover.distance as distance_module
 from treemover import (
     AttributedGraph,
     ConfigError,
@@ -234,6 +236,38 @@ def test_edit_sequence_empty_is_zero():
     assert total == 0.0
     assert exact == 0.0
     assert final is g
+
+
+def test_edit_sequence_computes_one_exact_distance(monkeypatch):
+    g = load_fixture("c6")
+    calls = []
+    real = distance_module.pair_distances
+
+    def counting(pairs, cfg):
+        calls.append(len(pairs))
+        return real(pairs, cfg)
+
+    monkeypatch.setattr(distance_module, "pair_distances", counting)
+    edits = [("drop_edge", 0, 1), ("perturb", 2, [0.25]), ("drop_node", 4)]
+    total, exact, final = edit_sequence_bound(g, edits, unit_cfg(3))
+    assert calls == [1]
+    assert exact == tmd(g, final, unit_cfg(3))
+
+
+def test_mean_mode_bound_prepares_its_graph_once(monkeypatch):
+    g = load_fixture("c6")
+    prepared = []
+    real = distance_module.prepare_graph
+
+    def counting(h):
+        prepared.append(h)
+        return real(h)
+
+    monkeypatch.setattr(bounds_module, "prepare_graph", counting)
+    monkeypatch.setattr(distance_module, "prepare_graph", counting)
+    rep = node_drop_bound(g, 1, unit_cfg(3, "mean"))
+    assert sum(h is g for h in prepared) == 1
+    assert rep.exact_tmd == tmd(g, drop_node(g, 1), unit_cfg(3, "mean"))
 
 
 def test_edit_sequence_rejects_unknown_op():

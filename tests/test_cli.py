@@ -371,6 +371,31 @@ def test_lipschitz_needs_pair_or_data(tmp_path):
                  "--out", str(tmp_path / "l.json")]) == 3
 
 
+def test_lipschitz_model_without_bias_is_malformed_input(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model_json(model, random_gin(1, 2, 1, seed=0))
+    obj = json.loads(model.read_text())
+    del obj["layers"][0]["bias"]
+    model.write_text(json.dumps(obj))
+    out = tmp_path / "l.json"
+    assert main(["lipschitz", "--model", str(model),
+                 "--graph-a", str(fixture_path("path3")),
+                 "--graph-b", str(fixture_path("path3")), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bad model JSON: 'bias'\n"
+    assert not out.exists()
+
+
+def test_lipschitz_model_not_json_names_its_path(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("{ not json")
+    out = tmp_path / "l.json"
+    assert main(["lipschitz", "--model", str(model),
+                 "--graph-a", str(fixture_path("path3")),
+                 "--graph-b", str(fixture_path("path3")), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: invalid JSON: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_lipschitz_pairs_below_one(two_cluster_dir, tmp_path, capsys, pairs):
     d, _ = two_cluster_dir

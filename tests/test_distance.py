@@ -482,10 +482,10 @@ def test_profiler_sees_one_assignment_per_child_transport_and_final():
             assert seen == (depth - 1) * with_children[0] * with_children[1] + final
 
 
-def _differential_batch(c):
+def _differential_batch():
     """Every differential pair in both orders, as graphs and as one batch."""
     graphs = [(a, b) for ga, gb in _differential_pairs() for a, b in ((ga, gb), (gb, ga))]
-    prepared = {g: distance_module.prepare_graph(g, c) for pair in graphs for g in pair}
+    prepared = {g: distance_module.prepare_graph(g) for pair in graphs for g in pair}
     return graphs, [(prepared[a], prepared[b]) for a, b in graphs]
 
 
@@ -515,7 +515,7 @@ def test_one_assignment_per_child_transport_across_a_matrix(monkeypatch):
 
 
 def test_child_buckets_hold_every_eligible_pair_once():
-    graphs, batch = _differential_batch(cfg(2))
+    graphs, batch = _differential_batch()
     starts, ia, ib, core = distance_module._batch_layout(batch)
     # the cells are the entries of the pairs' tables, blanks included
     where = [(p, u, v) for p, (a, b) in enumerate(graphs)
@@ -530,8 +530,8 @@ def test_child_buckets_hold_every_eligible_pair_once():
     deg_a = np.concatenate([a.deg for a, _ in batch])[ia]
     deg_b = np.concatenate([b.deg for _, b in batch])[ib]
     seen = {}
-    buckets = distance_module._child_buckets(batch, starts, ia, ib, deg_a, deg_b)
-    for cells, gather, offs, s in buckets:
+    transports, leaves = distance_module._child_buckets(batch, starts, ia, ib, deg_a, deg_b)
+    for cells, gather, offs, s in transports:
         assert gather.shape == (len(cells), s, s)
         assert offs.shape == (len(cells), s)
         for q, cell in enumerate(cells.tolist()):
@@ -550,6 +550,30 @@ def test_child_buckets_hold_every_eligible_pair_once():
             for u in range(a.node_count) for v in range(b.node_count)
             if a.neighbors[u] and b.neighbors[v]}
     assert seen == want
+    # a tree against a leaf (the blank included) sums its children's entries
+    # in the blank column (a-side tree) or the blank row (b-side tree)
+    seen = {}
+    for cells, gather, d in leaves:
+        assert gather.shape == (len(cells), d)
+        assert cells.tolist() == sorted(cells.tolist())
+        for q, cell in enumerate(cells.tolist()):
+            p, u, v = where[cell]
+            a, b = graphs[p]
+            na, nb = a.node_count, b.node_count
+            assert (p, u, v) not in seen
+            seen[p, u, v] = d
+            if u < na and a.neighbors[u]:
+                want_row = [starts[p] + x * (nb + 1) + nb for x in a.neighbors[u]]
+            else:
+                want_row = [starts[p] + na * (nb + 1) + y for y in b.neighbors[v]]
+            assert gather[q].tolist() == want_row
+    nbrs = [([list(a.neighbors[u]) for u in range(a.node_count)] + [[]],
+             [list(b.neighbors[v]) for v in range(b.node_count)] + [[]]) for a, b in graphs]
+    want = {(p, u, v): len(side_a[u]) + len(side_b[v])
+            for p, (side_a, side_b) in enumerate(nbrs)
+            for u in range(len(side_a)) for v in range(len(side_b))
+            if bool(side_a[u]) != bool(side_b[v])}
+    assert seen == want
     # graphs narrower than the batch's widest neighbour list take the widen path
     assert len({g.pad.shape[1] for pair in batch for g in pair}) > 1
 
@@ -558,7 +582,7 @@ def test_child_buckets_hold_every_eligible_pair_once():
 def test_batch_tables_bitwise_equal_per_cell_reference(mode):
     for schedule in (constant_weights(0.7), pascal_weights(4)):
         c = TmdConfig(4, schedule, mode)
-        graphs, batch = _differential_batch(c)
+        graphs, batch = _differential_batch()
         tables, starts = distance_module._batch_tables(batch, c)
         ends = [lo + (a.node_count + 1) * (b.node_count + 1)
                 for (a, b), lo in zip(graphs, starts)]
@@ -568,9 +592,24 @@ def test_batch_tables_bitwise_equal_per_cell_reference(mode):
             assert [t[lo:hi].tobytes() for t in tables] == [t.tobytes() for t in want]
 
 
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_one_record_per_graph_serves_every_config(mode):
+    graphs = _differential_graphs()
+    records = {g: distance_module.prepare_graph(g) for g in graphs}
+    for schedule in (constant_weights(0.7), pascal_weights(4)):
+        for depth in (1, 2, 3, 4):
+            c = TmdConfig(depth, schedule, mode)
+            for ga, gb in _differential_pairs():
+                got = distance_module.prepared_tmd(records[ga], records[gb], c)
+                assert np.float64(got).tobytes() == np.float64(tmd(ga, gb, c)).tobytes()
+                assert [lv.tobytes() for lv in
+                        distance_module.prepared_norm_levels(records[ga], c)] == \
+                    [lv.tobytes() for lv in tree_norm_levels(ga, depth, c)]
+
+
 def test_pair_distances_split_at_the_entry_bound(monkeypatch):
     c = TmdConfig(3, pascal_weights(4), "sum")
-    _, batch = _differential_batch(c)
+    _, batch = _differential_batch()
     assert len(list(distance_module._batches(batch))) == 1
     whole = np.array(distance_module.pair_distances(batch, c))
     entries = {(id(a), id(b)): a.node_count * b.node_count
@@ -653,7 +692,7 @@ def test_batch_overflow_names_first_depth_of_any_pair():
     c = cfg(500, schedule=constant_weights(1.0))
     p, s2, s3, d1 = (random_graph(8, 0.5, 3, seed=4), random_graph(12, 0.5, 3, seed=2),
                      random_graph(12, 0.4, 3, seed=3), random_graph(12, 0.8, 3, seed=1))
-    prep = {g: distance_module.prepare_graph(g, c) for g in (p, s2, s3, d1)}
+    prep = {g: distance_module.prepare_graph(g) for g in (p, s2, s3, d1)}
     late, early = (prep[s2], prep[s3]), (prep[d1], prep[p])
     depth_late = _overflow_depth(lambda: distance_module.pair_distances([late], c))
     depth_early = _overflow_depth(lambda: distance_module.pair_distances([early], c))

@@ -90,7 +90,7 @@ def test_pair_distance_independent_of_its_batch(data):
     schedule = data.draw(st.sampled_from([constant_weights(0.7), pascal_weights(3)]))
     c = TmdConfig(data.draw(st.integers(1, 4)), schedule,
                   data.draw(st.sampled_from(["sum", "mean"])))
-    batch = [(prepare_graph(a, c), prepare_graph(b, c)) for a, b in pairs]
+    batch = [(prepare_graph(a), prepare_graph(b)) for a, b in pairs]
     alone = np.array([pair_distances([p], c)[0] for p in batch])
     order = data.draw(st.permutations(range(len(batch))))
     assert np.array(pair_distances(batch, c)).tobytes() == alone.tobytes()
