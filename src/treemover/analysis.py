@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .distance import check_feature_dims, pair_distances, prepare_graph, warn_zero_features
-from .graphs import GraphDataset, graph_key
+from .distance import pair_distances, prepare_graph, warn_zero_features
+from .graphs import GraphDataset, check_feature_dims, graph_key
 from .matrix import DistanceMatrix
 from .ot import solve_transport
 

@@ -308,8 +308,6 @@ def cmd_perturb(args):
 def cmd_wl(args):
     ga = load_graph_json(args.graph_a)
     gb = load_graph_json(args.graph_b)
-    if args.iterations < 0:
-        raise ConfigError(f"--iterations must be >= 0, got {args.iterations}")
     first = wl_first_difference(ga, gb, args.iterations)
     report = {
         "graph_a": args.graph_a,

@@ -62,7 +62,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .graphs import AttributedGraph, graph_key, group_indices, neighbor_index
+from .graphs import AttributedGraph, check_feature_dims, graph_key, group_indices, neighbor_index
 from .schedule import ConfigError, TmdConfig
 
 
@@ -113,13 +113,6 @@ def warn_zero_features(count, total):
             "from padding blanks at depth 1",
             RuntimeWarning,
             stacklevel=level,
-        )
-
-
-def check_feature_dims(a, b):
-    if a.feature_dim != b.feature_dim:
-        raise ValueError(
-            f"feature dimensions differ: {a.feature_dim} vs {b.feature_dim}"
         )
 
 

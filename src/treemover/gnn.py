@@ -358,6 +358,9 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
+    """The GinModel of a JSON object: malformed input (missing keys, shapes,
+    non-finite values) raises DatasetFormatError, a bad aggregation or
+    epsilon ConfigError."""
     try:
         layers = [
             (l["weight"], l["bias"], l.get("neighbor_weight"))
@@ -369,7 +372,9 @@ def model_from_json(obj):
             epsilon=obj.get("epsilon", 1.0),
             aggregation=obj.get("aggregation", "sum"),
         )
-    except (KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad model JSON: {exc}") from exc
 
 
@@ -378,4 +383,8 @@ def save_model_json(path, model):
 
 
 def load_model_json(path):
-    return model_from_json(read_json(path))
+    obj = read_json(path)
+    try:
+        return model_from_json(obj)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc

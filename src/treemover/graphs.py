@@ -89,12 +89,21 @@ class AttributedGraph:
         )
 
     def __hash__(self):
-        return hash((self.features.tobytes(), self.features.shape, self.edges))
+        return hash(graph_key(self))
+
+
+def check_feature_dims(a, b):
+    """Graphs or datasets a and b must share one feature dimension."""
+    if a.feature_dim != b.feature_dim:
+        raise ValueError(
+            f"feature dimensions differ: {a.feature_dim} vs {b.feature_dim}"
+        )
 
 
 def graph_key(g):
-    """Canonical byte key; used to order arguments of symmetric operations."""
-    return (g.features.shape, g.features.tobytes(), g.edges)
+    """Canonical byte key, equal for equal graphs (+ 0.0 folds -0.0 into
+    0.0); used to order arguments of symmetric operations."""
+    return (g.features.shape, (g.features + 0.0).tobytes(), g.edges)
 
 
 def group_indices(keys):

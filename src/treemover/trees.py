@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import neighbor_index
+from .graphs import check_feature_dims, neighbor_index
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,7 @@ def naive_tmd(ga, gb, cfg, max_nodes=10, max_depth=4):
             )
     if cfg.depth > max_depth:
         raise ValueError(f"size guard: depth {cfg.depth} exceeds max_depth={max_depth}")
-    if ga.feature_dim != gb.feature_dim:
-        raise ValueError(
-            f"feature dimensions differ: {ga.feature_dim} vs {gb.feature_dim}"
-        )
+    check_feature_dims(ga, gb)
     na, nb = ga.node_count, gb.node_count
     s = max(na, nb)
     if s == 0:

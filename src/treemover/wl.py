@@ -1,42 +1,40 @@
-"""Color refinement over a shared palette for pairs of attributed graphs.
+"""Joint color refinement of attributed graphs into computation-tree classes.
 
-Iteration 0 colors nodes by exact feature equality; iteration i >= 1 refines
-by (own color, sorted multiset of neighbor colors). Both graphs share one
-palette, so comparing color histograms decides whether refinement separates
-them, and at which iteration.
+`refine_classes` yields, for depth 1, 2, ..., the class of every node of
+every graph it is given, refined jointly. Depth 1 keys a node by its feature
+values, so -0.0 equals 0.0; depth k keys it by its depth-(k-1) class and the
+sorted depth-(k-1) classes of its neighbours. Two nodes share a class
+exactly when their depth-k computation trees are equal. Classes are dense
+ranks in sorted key order, so the order between two nodes' classes does not
+depend on which other graphs were refined with them.
+
+`wl_first_difference` compares the two graphs' class histograms depth by
+depth: refinement iteration i is depth i + 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-
-def _initial_colors(ga, gb):
-    palette = {}
-    colors = []
-    for g in (ga, gb):
-        cur = []
-        for v in range(g.node_count):
-            key = g.features[v].tobytes()
-            if key not in palette:
-                palette[key] = len(palette)
-            cur.append(palette[key])
-        colors.append(cur)
-    return colors
+from .graphs import check_feature_dims
 
 
-def _refine(ga, gb, colors):
-    palette = {}
-    out = []
-    for g, cur in zip((ga, gb), colors):
-        nxt = []
-        for v in range(g.node_count):
-            key = (cur[v], tuple(sorted(cur[u] for u in g.neighbors[v])))
-            if key not in palette:
-                palette[key] = len(palette)
-            nxt.append(palette[key])
-        out.append(nxt)
-    return out
+def refine_classes(graphs):
+    """Per depth 1, 2, ...: one list of node classes per graph, without end.
+
+    Once the partition is stable every later depth repeats the same lists.
+    """
+    graphs = list(graphs)
+    keys = [list(map(tuple, g.features.tolist())) for g in graphs]
+    while True:
+        rank = {k: r for r, k in enumerate(sorted({k for ks in keys for k in ks}))}
+        classes = [[rank[k] for k in ks] for ks in keys]
+        yield classes
+        keys = [
+            [(c[v], tuple(sorted(c[u] for u in nbrs)))
+             for v, nbrs in enumerate(g.neighbors)]
+            for g, c in zip(graphs, classes)
+        ]
 
 
 def wl_first_difference(ga, gb, iterations):
@@ -45,25 +43,17 @@ def wl_first_difference(ga, gb, iterations):
     Checks iterations 0..iterations inclusive and stops early once the joint
     partition stabilises (no further iteration can separate the graphs).
     """
-    if ga.feature_dim != gb.feature_dim:
-        raise ValueError(
-            f"feature dimensions differ: {ga.feature_dim} vs {gb.feature_dim}"
-        )
+    check_feature_dims(ga, gb)
     if int(iterations) != iterations or iterations < 0:
         raise ValueError(f"iterations must be an integer >= 0, got {iterations}")
-    colors = _initial_colors(ga, gb)
-    if Counter(colors[0]) != Counter(colors[1]):
-        return 0
-    classes = len(set(colors[0]) | set(colors[1]))
-    for it in range(1, int(iterations) + 1):
-        colors = _refine(ga, gb, colors)
-        if Counter(colors[0]) != Counter(colors[1]):
+    classes = 0
+    for it, (ca, cb) in enumerate(refine_classes((ga, gb))):
+        if Counter(ca) != Counter(cb):
             return it
-        new_classes = len(set(colors[0]) | set(colors[1]))
-        if new_classes == classes:
+        count = len(set(ca).union(cb))
+        if it == iterations or count == classes:
             return None
-        classes = new_classes
-    return None
+        classes = count
 
 
 def wl_distinguishable(ga, gb, iterations):

@@ -381,7 +381,22 @@ def test_lipschitz_model_without_bias_is_malformed_input(tmp_path, capsys):
     assert main(["lipschitz", "--model", str(model),
                  "--graph-a", str(fixture_path("path3")),
                  "--graph-b", str(fixture_path("path3")), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: bad model JSON: 'bias'\n"
+    assert capsys.readouterr().err == f"error: {model}: bad model JSON: 'bias'\n"
+    assert not out.exists()
+
+
+def test_lipschitz_model_with_mismatched_shapes_is_malformed_input(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model_json(model, random_gin(1, 2, 1, seed=0))
+    obj = json.loads(model.read_text())
+    del obj["layers"][0]["weight"][-1]
+    model.write_text(json.dumps(obj))
+    out = tmp_path / "l.json"
+    assert main(["lipschitz", "--model", str(model),
+                 "--graph-a", str(fixture_path("path3")),
+                 "--graph-b", str(fixture_path("path3")), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {model}: bad model JSON: bias length 2 does not match weight rows 1\n")
     assert not out.exists()
 
 
@@ -497,10 +512,12 @@ def test_wl_equivalent_fixture(tmp_path):
     assert rep["iteration"] is None
 
 
-def test_wl_negative_iterations(tmp_path):
+def test_wl_negative_iterations(tmp_path, capsys):
     assert main(["wl", "--graph-a", str(fixture_path("c3c3")),
                  "--graph-b", str(fixture_path("c6")), "--iterations", "-1",
                  "--out", str(tmp_path / "w.json")]) == 3
+    assert capsys.readouterr().err == "error: iterations must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "w.json").exists()
 
 
 # --- exit codes ---

@@ -288,6 +288,17 @@ def test_determinism_bitwise():
         assert tmd(ga, gb, c) == first
 
 
+def test_signed_zeros_do_not_change_the_canonical_order():
+    feats = np.array([[0.0, -0.2], [0.3, 0.0], [0.1, 0.0], [-0.8, 0.2]])
+    edges = [(0, 1), (0, 2), (0, 3), (2, 3)]
+    a = AttributedGraph(feats, edges)
+    a_neg = AttributedGraph(np.where(feats == 0.0, -0.0, feats), edges)
+    b = AttributedGraph(np.array([[0.0, 0.4], [-0.7, -0.4], [0.0, -0.9], [-0.8, -1.0]]))
+    c = cfg(3, "sum", constant_weights(0.5))
+    assert a == a_neg and graph_key(a) == graph_key(a_neg)
+    assert tmd(a_neg, b, c).hex() == tmd(a, b, c).hex()
+
+
 # ------------------------------------------------------------ naive parity
 
 

@@ -6,6 +6,7 @@ import pytest
 from treemover import (
     AttributedGraph,
     ConfigError,
+    DatasetFormatError,
     GinLayer,
     TmdConfig,
     constant_weights,
@@ -529,3 +530,9 @@ def test_model_from_json_rejects_malformed():
         model_from_json({"layers": [{"weight": [[1.0]]}]})
     with pytest.raises(ValueError):
         model_from_json({})
+    obj = model_to_json(random_gin(1, 2, 1, seed=0))
+    with pytest.raises(ConfigError, match="aggregation must be one of"):
+        model_from_json({**obj, "aggregation": "max"})
+    obj["layers"][0]["weight"].pop()
+    with pytest.raises(DatasetFormatError, match="bias length 2 does not match weight rows 1"):
+        model_from_json(obj)

@@ -40,6 +40,14 @@ def test_scalar_feature_column_accepted():
     assert g.features.shape == (2, 1)
 
 
+def test_equal_graphs_and_datasets_hash_equal():
+    a = AttributedGraph(np.array([[0.0], [1.0]]), [(0, 1)])
+    b = AttributedGraph(np.array([[-0.0], [1.0]]), [(0, 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    da, db = GraphDataset((a,), labels=(1,)), GraphDataset((b,), labels=(1,))
+    assert da == db and hash(da) == hash(db) and len({da, db}) == 1
+
+
 def test_drop_node_reindexes():
     g = load_fixture("path3")
     h = drop_node(g, 1)

@@ -11,37 +11,46 @@ the naive recursive evaluator on graphs of at most 10 nodes, at depth at
 most 3 (its bitmask assignments make depth 4 on dense graphs slow). In sum
 mode `tmd` is a pseudometric: bitwise symmetric, 0 on a graph and itself,
 and within rounding of the triangle inequality. A matrix's bytes do not
-depend on its worker count (few examples: each one forks a pool).
+depend on its worker count (few examples: each one forks a pool). Two
+nodes share a refinement class at depth k exactly when the naive distance
+between their depth-k computation trees is 0 (features hold zeros of both
+signs but no all-zero row), and the order between two graphs' classes does
+not depend on the other graphs refined with them.
 
 Features of 0 make all-zero rows common, so the distance's warning about
 them is silenced where a test computes one.
 """
+
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemover import (AttributedGraph, GraphDataset, TmdConfig, constant_weights, drop_edge,
-                       drop_node, edge_drop_bound, gin_forward, lipschitz_check,
-                       matching_config, naive_tmd, node_drop_bound, node_perturbation_bound,
-                       pairwise_tmd, pascal_weights, permute_nodes, perturb_feature,
-                       random_gin, tmd, tree_widths)
+from treemover import (AttributedGraph, GraphDataset, TmdConfig, computation_tree,
+                       constant_weights, drop_edge, drop_node, edge_drop_bound, gin_forward,
+                       lipschitz_check, matching_config, naive_tmd, naive_tree_distance,
+                       node_drop_bound, node_perturbation_bound, pairwise_tmd,
+                       pascal_weights, permute_nodes, perturb_feature, random_gin, tmd,
+                       tree_widths)
 from treemover.distance import pair_distances, prepare_graph
+from treemover.wl import refine_classes
 
 from references import reference_gin_forward, reference_tree_widths
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
+SIGNED = (-1.0, -0.0, 0.0, 1.0)
 SCHEDULES = (constant_weights(0.7), pascal_weights(4))
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 ZERO_ROWS = pytest.mark.filterwarnings("ignore:.*all-zero feature vectors:RuntimeWarning")
 
 
 @st.composite
-def graphs(draw, min_nodes=0, dim=None, max_nodes=12):
+def graphs(draw, min_nodes=0, dim=None, max_nodes=12, values=VALUES):
     n = draw(st.integers(min_nodes, max_nodes))
     dim = draw(st.integers(1, 3)) if dim is None else dim
-    feats = draw(st.lists(st.sampled_from(VALUES), min_size=n * dim, max_size=n * dim))
+    feats = draw(st.lists(st.sampled_from(values), min_size=n * dim, max_size=n * dim))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, k in zip(pairs, keep) if k]
@@ -171,3 +180,39 @@ def test_pairwise_tmd_bytes_independent_of_threads(data):
     for ds_a, ds_b in ((GraphDataset(gs), None), (GraphDataset(gs[:k]), GraphDataset(gs[k:]))):
         one = pairwise_tmd(ds_a, ds_b, cfg, threads=1).values
         assert pairwise_tmd(ds_a, ds_b, cfg, threads=2).values.tobytes() == one.tobytes()
+
+
+def _without_zero_rows(g):
+    """g with 1.0 in the first column of each all-zero feature row."""
+    feats = g.features.copy()
+    feats[~feats.any(axis=1), 0] = 1.0
+    return AttributedGraph(feats, g.edges)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data())
+def test_refinement_classes_are_equal_computation_trees(data):
+    dim = data.draw(st.integers(1, 3))
+    g, h = (_without_zero_rows(data.draw(graphs(dim=dim, max_nodes=8, values=SIGNED)))
+            for _ in range(2))
+    depth = data.draw(st.integers(1, 4))
+    classes = next(islice(refine_classes([g, h]), depth - 1, None))
+    cfg = TmdConfig(depth, constant_weights(1.0))
+    trees_g = [computation_tree(g, v, depth) for v in range(g.node_count)]
+    trees_h = [computation_tree(h, v, depth) for v in range(h.node_count)]
+    memo = {}
+    for u, tu in enumerate(trees_g):
+        for v, tv in enumerate(trees_h):
+            same = naive_tree_distance(tu, tv, cfg, memo) == 0.0
+            assert (classes[0][u] == classes[1][v]) == same
+
+
+@PROPERTY
+@given(st.data())
+def test_refinement_class_order_independent_of_other_graphs(data):
+    dim = data.draw(st.integers(1, 3))
+    g, h, x, y = (data.draw(graphs(dim=dim, max_nodes=8, values=SIGNED)) for _ in range(4))
+    for alone, joint in islice(zip(refine_classes([g, h]), refine_classes([x, g, y, h])), 4):
+        a = np.array(alone[0] + alone[1])
+        b = np.array(joint[1] + joint[3])
+        assert np.array_equal(np.sign(a[:, None] - a), np.sign(b[:, None] - b))

@@ -16,6 +16,14 @@ def test_feature_multiset_difference_is_iteration_zero():
     assert wl_first_difference(a, b, 3) == 0
 
 
+@pytest.mark.filterwarnings("ignore:.*all-zero feature vectors:RuntimeWarning")
+def test_signed_zero_features_are_one_class():
+    a = AttributedGraph(np.array([[0.0], [1.0]]), [(0, 1)])
+    b = AttributedGraph(np.array([[-0.0], [1.0]]), [(0, 1)])
+    assert wl_first_difference(a, b, 3) is None
+    assert tmd(a, b, TmdConfig(4, constant_weights(1.0))) == 0.0
+
+
 def test_node_count_difference_is_iteration_zero():
     a = AttributedGraph(np.ones((2, 1)), [(0, 1)])
     b = AttributedGraph(np.ones((3, 1)), [(0, 1), (1, 2)])
@@ -62,13 +70,35 @@ def _uniform_feature_pair(rng, n):
     return (AttributedGraph(ones, ga.edges), AttributedGraph(ones, gb.edges))
 
 
+def _signed_one_hot_pair(rng, n):
+    """One-hot features, the second graph's a permutation of the first's;
+    each zero entry's sign is random. Half the pairs are isomorphic."""
+    dim = int(rng.integers(2, 4))
+    labels = rng.integers(dim, size=n)
+    ga = random_graph(n, float(rng.uniform(0.2, 0.8)), 1, int(rng.integers(1 << 30)))
+    if rng.random() < 0.5:
+        perm = rng.permutation(n)
+        gb = permute_nodes(ga, perm)
+        labels_b = np.empty_like(labels)
+        labels_b[perm] = labels
+    else:
+        gb = random_graph(n, float(rng.uniform(0.2, 0.8)), 1, int(rng.integers(1 << 30)))
+        labels_b = rng.permutation(labels)
+
+    def signed(lab):
+        return np.where(np.eye(dim)[lab] == 1.0, 1.0, rng.choice([-0.0, 0.0], size=(n, dim)))
+
+    return (AttributedGraph(signed(labels), ga.edges),
+            AttributedGraph(signed(labels_b), gb.edges))
+
+
 def test_separation_agrees_with_distance_fuzz():
     # refinement separates within L iterations <=> positive distance at L+1
     rng = np.random.default_rng(99)
     checked_pos = checked_zero = 0
-    for _ in range(60):
+    for make_pair in [_uniform_feature_pair] * 60 + [_signed_one_hot_pair] * 60:
         n = int(rng.integers(2, 8))
-        ga, gb = _uniform_feature_pair(rng, n)
+        ga, gb = make_pair(rng, n)
         L = int(rng.integers(1, 4))
         sched = constant_weights(0.7) if rng.random() < 0.5 else pascal_weights(L + 1)
         value = tmd(ga, gb, TmdConfig(L + 1, sched))
@@ -79,4 +109,4 @@ def test_separation_agrees_with_distance_fuzz():
         else:
             assert value <= 1e-9 * scale
             checked_zero += 1
-    assert checked_pos >= 10 and checked_zero >= 10
+    assert checked_pos >= 20 and checked_zero >= 20
