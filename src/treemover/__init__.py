@@ -10,7 +10,8 @@ the whole public API at once, the distance engine and SciPy included. So a
 program that touches the API before it forks worker processes has SciPy
 loaded in the parent, and the workers inherit it instead of each importing
 it again. The `tmd` command line imports submodules directly and loads only
-the modules each subcommand uses (see `cli`).
+the modules each subcommand uses (see `cli`); the distance engine alone
+loads two compiled SciPy modules and no SciPy package (see `distance`).
 """
 
 import importlib

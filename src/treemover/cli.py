@@ -6,21 +6,26 @@ to JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or malformed
 input files, 3 invalid configuration. `TMD_THREADS` sets the default worker
 count.
 
-The `tmd` process runs BLAS single-threaded: `entrypoint` sets
-`OPENBLAS_NUM_THREADS=1` unless the user set it. Its child transports are
-matrices of at most a node's degree, where BLAS threads never help, and
-each idle OpenBLAS pool spins on a core after it loads; `--threads` is the
-process's parallelism. Only the entry point sets it, so importing this
-module or calling `main` leaves the environment alone. SciPy's OpenBLAS
-loads after it, with the handler's imports.
+The `tmd` process runs BLAS single-threaded (see `launcher`): the `tmd`
+script and `python -m treemover.cli` both set `OPENBLAS_NUM_THREADS=1`,
+unless the user set it, before numpy loads. Importing this module or
+calling `main` leaves the environment alone.
 
 Each handler imports the modules it needs beyond the light ones imported
 here, so gram, knn, cluster and wl never load SciPy. dist and shift import
-`analysis`, which loads the engine and SciPy before any worker is forked,
-so the workers inherit them instead of importing them again.
+`analysis`, which loads the engine and the two compiled SciPy modules it
+calls, and no SciPy package, before any worker is forked, so the workers
+inherit them instead of loading them again. shift loads `scipy.optimize`
+for its dataset LP, after the workers are done.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":
+    # python -m treemover.cli: before numpy loads, as the `tmd` script does
+    from .launcher import single_threaded_blas
+
+    single_threaded_blas()
 
 import argparse
 import glob
@@ -427,10 +432,5 @@ def main(argv=None):
         return 3
 
 
-def entrypoint():
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

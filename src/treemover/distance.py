@@ -48,22 +48,74 @@ row of molecule-sized graphs). `tmd` and the bounds reach it through
 `prepared_tmd`, and `analysis.pairwise_tmd` directly. A pair's checks and
 warnings have one home too, `_check_pair`, and every zero-feature warning
 names the caller's line outside the package (or in its command line).
+
+The engine calls two compiled SciPy functions: `linear_sum_assignment` and
+the Euclidean kernel that `scipy.spatial.distance.cdist(a, b)` runs.
+`_load_extension` loads their two extension modules without the __init__
+files of `scipy.optimize` and `scipy.spatial`, which import much more of
+SciPy than the engine calls, and the public functions stand in when a
+module's file is not found. Values and native calls are the same either way.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
 import sys
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .graphs import AttributedGraph, check_feature_dims, graph_key, group_indices, neighbor_index
 from .schedule import ConfigError, TmdConfig
+
+
+def _load_extension(name):
+    """The compiled module `name` of an installed package, loaded without
+    running the __init__ files of its packages; None when its file is not
+    found.
+
+    The module is registered in sys.modules under `name`, so a later import
+    of its package reuses it; a module already there is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    top, *middle, _ = name.split(".")
+    root = importlib.util.find_spec(top)
+    bases = root.submodule_search_locations if root else None
+    for base in bases or ():
+        finder = FileFinder(os.path.join(base, *middle),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    return None
+
+
+def _scipy_kernels():
+    """(linear_sum_assignment, cdist_euclidean) from their compiled modules,
+    or SciPy's public functions where a module's file is not found."""
+    lsap = _load_extension("scipy.optimize._lsap")
+    pybind = _load_extension("scipy.spatial._distance_pybind")
+    if lsap is None:
+        from scipy.optimize import linear_sum_assignment
+    else:
+        linear_sum_assignment = lsap.linear_sum_assignment
+    if pybind is None:
+        from scipy.spatial.distance import cdist as cdist_euclidean
+    else:
+        cdist_euclidean = pybind.cdist_euclidean
+    return linear_sum_assignment, cdist_euclidean
+
+
+linear_sum_assignment, cdist_euclidean = _scipy_kernels()
 
 
 @dataclass(frozen=True)
@@ -273,7 +325,7 @@ def _batch_tables(pairs, cfg):
     # depth 1: feature distances; a node against a blank costs its norm
     base = (np.concatenate([a.norms for a, _ in pairs])[ia]
             + np.concatenate([b.norms for _, b in pairs])[ib])
-    base[core] = np.concatenate([cdist(a.features, b.features).reshape(-1)
+    base[core] = np.concatenate([cdist_euclidean(a.features, b.features).reshape(-1)
                                  for a, b in pairs])
     if cfg.depth > 1:
         deg_a = np.concatenate([a.deg for a, _ in pairs])[ia]
@@ -325,14 +377,19 @@ def tree_distance(ga, u, gb, v, depth, cfg):
     return float(tables[-1].dist[u, v])
 
 
+@functools.lru_cache(maxsize=None)
+def _empty_graph(dim):
+    """The PreparedGraph of the empty graph with `dim` features."""
+    return prepare_graph(AttributedGraph(np.zeros((0, dim))))
+
+
 def prepared_norm_levels(p, cfg):
     """Per-node tree norms at depths 1..cfg.depth of the graph whose
     PreparedGraph is p: the blank column of its tables against the empty
     graph. Raises ConfigError naming the first depth whose norms overflow.
     """
     n = p.node_count
-    empty = prepare_graph(AttributedGraph(np.zeros((0, p.feature_dim))))
-    return [t[:n] for t in _batch_tables([(p, empty)], cfg)[0]]
+    return [t[:n] for t in _batch_tables([(p, _empty_graph(p.feature_dim))], cfg)[0]]
 
 
 def tree_norm_levels(g, depth, cfg):

@@ -1,9 +1,13 @@
 """Exact discrete optimal transport: assignments and transportation plans.
 
-Two solvers cover everything the distance needs. `solve_assignment` handles
-unnormalised transport between equal-mass multisets, which reduces to linear
-assignment once the smaller side is padded. `solve_transport` handles general
-non-negative marginals and is used for dataset-level distances.
+Solvers for transport problems posed outside the distance engine, which
+calls SciPy's assignment solver directly (see `distance`).
+`solve_assignment` solves a linear assignment and returns the
+lexicographically smallest optimal plan; `augmented_ot` first pads the
+smaller of two unequal multisets with blanks, as each child transport of
+the distance does. `solve_transport` handles general non-negative marginals
+and is used for dataset-level distances (`analysis`). Importing this module
+loads `scipy.optimize`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Import boundaries: which modules a fresh interpreter loads, and the lazy
 package exports. Commands that never solve a transport run without SciPy;
-the first use of the package's public API loads it. Only the `tmd` entry
-point touches the environment: it runs BLAS single-threaded.
+the distance engine loads only the two compiled SciPy modules it calls, the
+dataset LP `scipy.optimize`, and the first use of the package's public API
+all of them. Only the `tmd` entry points touch the environment: they run
+BLAS single-threaded.
 
 Each check runs in a new `sys.executable` process, because this test
 process has long since imported every module.
@@ -17,9 +19,12 @@ import numpy as np
 import pytest
 
 import treemover
-from treemover import DistanceMatrix, save_distance_csv
+from treemover import (DistanceMatrix, GraphDataset, TmdConfig, constant_weights,
+                       pairwise_tmd, random_graph, save_distance_csv)
+from treemover import distance
 
 from conftest import fixture_path
+from test_cli import console_script_command
 
 SRC = str(Path(treemover.__file__).resolve().parent.parent)
 
@@ -77,14 +82,54 @@ def test_commands_that_read_a_matrix_run_without_scipy(tmp_path):
         assert (tmp_path / name).exists()
 
 
-@pytest.mark.parametrize("code", [
-    "import treemover.analysis",
-    "import treemover\ntreemover.TmdConfig",
+# the compiled modules of the two SciPy functions the engine calls
+KERNELS = ["scipy.optimize._lsap", "scipy.spatial._distance_pybind"]
+
+
+@pytest.mark.parametrize("code, whole_packages", [
+    pytest.param("import treemover.analysis", False, id="import treemover.analysis"),
+    pytest.param("import treemover\ntreemover.TmdConfig", True,
+                 id="import treemover\ntreemover.TmdConfig"),
 ])
-def test_solver_loads_before_any_fork(code):
+def test_solver_loads_before_any_fork(code, whole_packages):
     # pairwise_tmd, or a program that uses the package, forks workers after
-    # this; they inherit SciPy instead of each importing it again
-    assert "scipy.optimize" in scipy_modules_after(code)
+    # this; they inherit the solver instead of each loading it again. The
+    # engine loads only the compiled modules it calls, the package API the
+    # whole SciPy packages too.
+    loaded = scipy_modules_after(code)
+    if whole_packages:
+        assert {"scipy.optimize", "scipy.spatial", *KERNELS} <= set(loaded)
+    else:
+        assert loaded == KERNELS
+
+
+def test_engine_kernels_are_scipys_own():
+    same = run_fresh(
+        "import json\n"
+        "from treemover import distance\n"
+        "import scipy.optimize, scipy.spatial.distance\n"
+        "print(json.dumps([\n"
+        "    scipy.optimize.linear_sum_assignment is distance.linear_sum_assignment,\n"
+        "    scipy.spatial.distance._distance_pybind.cdist_euclidean\n"
+        "    is distance.cdist_euclidean]))\n")
+    assert same == [True, True]
+
+
+def test_public_scipy_functions_are_the_fallback(monkeypatch):
+    graphs = [random_graph(n, 0.3, 3, seed) for seed, n in enumerate([0, 1, 5, 8, 9, 12])]
+    ds = GraphDataset(graphs)
+    cfg = TmdConfig(3, constant_weights(0.5), "sum")
+    fast = pairwise_tmd(ds, None, cfg).values
+    monkeypatch.setattr(distance, "_load_extension", lambda name: None)
+    lsa, cdist_euclidean = distance._scipy_kernels()
+    import scipy.optimize
+    import scipy.spatial.distance
+
+    assert lsa is scipy.optimize.linear_sum_assignment
+    assert cdist_euclidean is scipy.spatial.distance.cdist
+    monkeypatch.setattr(distance, "linear_sum_assignment", lsa)
+    monkeypatch.setattr(distance, "cdist_euclidean", cdist_euclidean)
+    assert pairwise_tmd(ds, None, cfg).values.tobytes() == fast.tobytes()
 
 
 def dist_argv(tmp_path):
@@ -108,25 +153,56 @@ def test_library_use_leaves_the_environment_alone(tmp_path, user):
     assert run_fresh(code, OPENBLAS_NUM_THREADS=user) == [True, 0, True]
 
 
+def shift_argv(tmp_path):
+    graphs = str(tmp_path / "graphs")
+    return ["shift", "--train", graphs, "--test", graphs, "--depth", "2",
+            "--weights", "constant:0.5", "--out", str(tmp_path / "shift.json")]
+
+
+def test_only_the_dataset_lp_loads_scipy_optimize(tmp_path):
+    runs = [dist_argv(tmp_path), shift_argv(tmp_path)]
+    code = ("import contextlib, io, json, sys\n"
+            "from treemover.cli import main\n"
+            "seen = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        seen.append([main(argv), 'scipy.optimize' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    assert run_fresh(code) == [[0, False], [0, True]]
+
+
+# records OPENBLAS_NUM_THREADS when numpy is first imported, which is when
+# numpy's OpenBLAS pool reads it, and leaves the import to the next finder
+NUMPY_SPY = (
+    "import json, os, sys\n"
+    "seen = []\n"
+    "class NumpySpy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.meta_path.insert(0, NumpySpy())\n"
+)
+
+
 @pytest.mark.parametrize("user, seen", [(None, "1"), ("2", "2")])
 def test_tmd_runs_blas_single_threaded_unless_set(tmp_path, user, seen):
-    # what the command handler sees when the entry point runs it: SciPy's
-    # OpenBLAS, which the handler loads, reads the variable when it loads
-    code = ("import json, os, sys\n"
-            "from treemover import cli\n"
-            "real, seen = cli.cmd_dist, []\n"
-            "def spy(args):\n"
-            "    seen.append([os.environ.get('OPENBLAS_NUM_THREADS'), 'scipy' in sys.modules])\n"
-            "    return real(args)\n"
-            "cli.cmd_dist = spy\n"
-            f"sys.argv = ['tmd', *{dist_argv(tmp_path)!r}]\n"
-            "try:\n"
-            "    cli.entrypoint()\n"
-            "except SystemExit as exc:\n"
-            "    seen.append(exc.code)\n"
-            "print(json.dumps(seen))\n")
-    assert run_fresh(code, OPENBLAS_NUM_THREADS=user) == [[seen, False], 0]
-    assert (tmp_path / "m.csv").exists()
+    # both ways of running `tmd`: python -m and the console script
+    entry_points = [
+        "import runpy\nrunpy.run_module('treemover.cli', run_name='__main__', alter_sys=True)\n",
+        console_script_command("tmd")[2],
+    ]
+    argv = dist_argv(tmp_path)
+    for run in entry_points:
+        (tmp_path / "m.csv").unlink(missing_ok=True)
+        code = (NUMPY_SPY
+                + f"sys.argv = ['tmd', *{argv!r}]\n"
+                + "try:\n"
+                + f"    exec({run!r})\n"
+                + "except SystemExit as exc:\n"
+                + "    seen.append(exc.code)\n"
+                + "print(json.dumps(seen))\n")
+        assert run_fresh(code, OPENBLAS_NUM_THREADS=user) == [seen, 0], run
+        assert (tmp_path / "m.csv").exists()
 
 
 def test_every_export_resolves_to_its_submodule_object():
