@@ -6,12 +6,14 @@ dataset-level transport distances, and distance-based learning utilities.
 
 `import treemover` loads only the standard library. The first access to
 any public name (PEP 562 `__getattr__`) imports every submodule and binds
-the whole public API at once, the distance engine and SciPy included. So a
-program that touches the API before it forks worker processes has SciPy
-loaded in the parent, and the workers inherit it instead of each importing
-it again. The `tmd` command line imports submodules directly and loads only
-the modules each subcommand uses (see `cli`); the distance engine alone
-loads two compiled SciPy modules and no SciPy package (see `distance`).
+the whole public API at once, the distance engine included. So a program
+that touches the API before it forks worker processes has the engine's two
+compiled SciPy modules loaded in the parent, and the workers inherit them
+instead of each loading them again. The API loads no SciPy package: the
+engine and `ot` call SciPy's compiled modules directly (see `distance` and
+`ot`), and the dataset LP loads its HiGHS module when it first runs. The
+`tmd` command line imports submodules directly and loads only the modules
+each subcommand uses (see `cli`).
 """
 
 import importlib

@@ -8,7 +8,8 @@ each row in batches (`distance.pair_distances`); a shift report computes
 one train x (all test sets) matrix, so it forks at most one worker pool.
 Importing this module loads the engine and the two compiled SciPy modules
 it calls, so a command that forks workers has them loaded before the fork.
-Only the dataset LP loads `scipy.optimize`, when it first runs.
+The dataset LP loads SciPy's compiled HiGHS module, when it first runs in
+the parent (see `ot`); no SciPy package is loaded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .distance import pair_distances, prepare_graph, warn_zero_features
 from .graphs import GraphDataset, check_feature_dims, graph_key
 from .matrix import DistanceMatrix
+from .ot import solve_transport
 
 _WORKER = None
 
@@ -102,9 +104,6 @@ def _w1(values, ds_a, ds_b):
     """W1 from the ds_a x ds_b block of distances, solved in the canonical
     orientation (a swapped pair solves the transposed block with swapped
     masses), so the value is bitwise symmetric."""
-    # the LP loads scipy.optimize, which only dataset distances need
-    from .ot import solve_transport
-
     ds_a, ds_b, swap = _canonical(ds_a, ds_b)
     a = np.full(len(ds_a), 1.0 / len(ds_a))
     b = np.full(len(ds_b), 1.0 / len(ds_b))

@@ -15,8 +15,9 @@ Each handler imports the modules it needs beyond the light ones imported
 here, so gram, knn, cluster and wl never load SciPy. dist and shift import
 `analysis`, which loads the engine and the two compiled SciPy modules it
 calls, and no SciPy package, before any worker is forked, so the workers
-inherit them instead of loading them again. shift loads `scipy.optimize`
-for its dataset LP, after the workers are done.
+inherit them instead of loading them again. shift loads SciPy's compiled
+HiGHS module for its dataset LP, after the workers are done, and no SciPy
+package either.
 """
 
 from __future__ import annotations

@@ -55,6 +55,9 @@ the Euclidean kernel that `scipy.spatial.distance.cdist(a, b)` runs.
 files of `scipy.optimize` and `scipy.spatial`, which import much more of
 SciPy than the engine calls, and the public functions stand in when a
 module's file is not found. Values and native calls are the same either way.
+`ot` takes its `linear_sum_assignment` from here and loads SciPy's compiled
+HiGHS module with `_load_extension` too, so no module of the package loads
+a SciPy package.
 """
 
 from __future__ import annotations

@@ -6,8 +6,15 @@ calls SciPy's assignment solver directly (see `distance`).
 lexicographically smallest optimal plan; `augmented_ot` first pads the
 smaller of two unequal multisets with blanks, as each child transport of
 the distance does. `solve_transport` handles general non-negative marginals
-and is used for dataset-level distances (`analysis`). Importing this module
-loads `scipy.optimize`.
+and is used for dataset-level distances (`analysis`).
+
+Both solvers call SciPy's compiled modules directly, loaded as the engine
+loads its own (`distance._load_extension`), and no SciPy package:
+`linear_sum_assignment` is the engine's, and the transport LP goes straight
+to HiGHS (`scipy.optimize._highspy._core`) with the model and options that
+`scipy.optimize.linprog(method="highs")` passes it, so the solution is
+bitwise linprog's. The HiGHS module loads at the first transport solve;
+where its file is not found, the public `linprog` solves the same model.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+
+from .distance import _load_extension, linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -144,14 +152,78 @@ def _peel_flows(support, row_mass, col_mass):
 
 def _flow_cost(c, flow):
     """Canonical objective: row-major accumulation over positive-flow cells."""
+    cells = np.nonzero(flow > 0.0)
     total = 0.0
-    m, n = flow.shape
-    for i in range(m):
-        for j in range(n):
-            f = flow[i, j]
-            if f > 0.0:
-                total += c[i, j] * f
+    for term in (c[cells] * flow[cells]).tolist():
+        total += term
     return total
+
+
+def _transport_lp(c, a, b):
+    """Vertex solution of min <c, x> s.t. x 1 = a, x^T 1 = b, x >= 0, as
+    `linprog(c.ravel(), A_eq, b_eq, bounds=(0, None), method="highs")`
+    returns it, flattened row-major.
+
+    Variable k = i * n + j ships from row i to column j and has exactly two
+    entries in the constraint matrix, rows i and m + j, so the matrix is
+    built in HiGHS's column-wise (CSC) form: 2 m n entries, never dense.
+    """
+    m, n = c.shape
+    cols = m * n
+    k = np.arange(cols)
+    index = np.empty(2 * cols, dtype=np.int32)
+    index[0::2] = k // n
+    index[1::2] = m + k % n
+    start = np.arange(0, 2 * cols + 1, 2)
+    value = np.ones(2 * cols)
+    rhs = np.concatenate([a, b])
+    core = _load_extension("scipy.optimize._highspy._core")
+    if core is None:
+        from scipy.optimize import linprog
+        from scipy.sparse import csc_array
+
+        res = linprog(c.ravel(), A_eq=csc_array((value, index, start), shape=(m + n, cols)),
+                      b_eq=rhs, bounds=(0, None), method="highs")
+        if not res.success:  # pragma: no cover - feasible by construction
+            raise RuntimeError(f"transport LP failed: {res.message}")
+        return res.x
+    return _run_highs(core, c.ravel(), start, index, value, rhs)
+
+
+def _run_highs(core, cost, start, index, value, rhs):
+    """Solve min cost @ x s.t. A x = rhs, x >= 0 (A in CSC arrays) through
+    SciPy's HiGHS module `core`, with the options `linprog(method="highs")`
+    sets: presolve on, the dual simplex, no debugging and no output."""
+    cols = cost.size
+    lp = core.HighsLp()
+    lp.num_col_ = cols
+    lp.num_row_ = rhs.size
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(cols)
+    lp.col_upper_ = np.full(cols, core.kHighsInf)
+    lp.row_lower_ = rhs
+    lp.row_upper_ = rhs
+    matrix = lp.a_matrix_
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.num_col_ = cols
+    matrix.num_row_ = rhs.size
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:  # pragma: no cover - feasible by construction
+        raise RuntimeError(f"transport LP failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value)
 
 
 def solve_transport(cost, row_mass, col_mass):
@@ -179,22 +251,9 @@ def solve_transport(cost, row_mass, col_mass):
     if m == 0 or n == 0 or ta == 0.0:
         return TransportPlan(cost=0.0, flow=np.zeros((m, n)))
 
-    row_eq = np.zeros((m, m * n))
-    for i in range(m):
-        row_eq[i, i * n : (i + 1) * n] = 1.0
-    col_eq = np.tile(np.eye(n), m)
-    res = linprog(
-        c.ravel(),
-        A_eq=np.vstack([row_eq, col_eq]),
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - feasible by construction
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    x = np.maximum(res.x.reshape(m, n), 0.0)
+    x = np.maximum(_transport_lp(c, a, b).reshape(m, n), 0.0)
     thresh = 1e-10 * max(1.0, ta)
-    support = [(i, j) for i in range(m) for j in range(n) if x[i, j] > thresh]
+    support = [tuple(ij) for ij in np.argwhere(x > thresh).tolist()]
     flow = _peel_flows(support, a, b)
     if flow is None:
         flow = x

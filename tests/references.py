@@ -6,6 +6,9 @@ adds the same values in the same order.
 """
 
 import numpy as np
+from scipy.optimize import linprog
+
+from treemover.ot import _peel_flows
 
 
 def _lex_sorted(rows):
@@ -52,3 +55,29 @@ def reference_tree_widths(g, v, depth):
         counts = nxt
         widths.append(int(counts.sum()))
     return np.asarray(widths, dtype=np.int64)
+
+
+def reference_solve_transport(c, a, b):
+    """`solve_transport` on valid non-empty inputs, as (flow, cost): public
+    `linprog(method="highs")` on the dense constraint matrix, the same leaf
+    peeling, and m x n loops for the support and the objective."""
+    m, n = c.shape
+    row_eq = np.zeros((m, m * n))
+    for i in range(m):
+        row_eq[i, i * n : (i + 1) * n] = 1.0
+    col_eq = np.tile(np.eye(n), m)
+    res = linprog(c.ravel(), A_eq=np.vstack([row_eq, col_eq]),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    assert res.success, res.message
+    x = np.maximum(res.x.reshape(m, n), 0.0)
+    thresh = 1e-10 * max(1.0, float(a.sum()))
+    support = [(i, j) for i in range(m) for j in range(n) if x[i, j] > thresh]
+    flow = _peel_flows(support, a, b)
+    if flow is None:
+        flow = x
+    cost = 0.0
+    for i in range(m):
+        for j in range(n):
+            if flow[i, j] > 0.0:
+                cost += c[i, j] * flow[i, j]
+    return flow, cost

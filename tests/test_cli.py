@@ -315,6 +315,32 @@ def test_shift_multiple_tests_sorted(tmp_path):
     assert "risk_gap" not in rep["entries"][0]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the fixture graphs of each dataset directory of the golden shift report
+SHIFT_SETS = {
+    "train": ("path3", "triangle", "star4", "c6", "c3c3"),
+    "mixed": ("single_node", "edge_pair", "star4", "c3c3"),
+    "small": ("path3", "triangle", "edge_pair"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_shift_report_matches_golden(tmp_path, threads):
+    # golden/shift_report.json pins W1 to the bit, so a change to the
+    # transport solver cannot move it silently
+    for name, graphs in SHIFT_SETS.items():
+        (tmp_path / name).mkdir()
+        for g in graphs:
+            (tmp_path / name / f"{g}.json").write_text(fixture_path(g).read_text())
+    out = tmp_path / "shift.json"
+    code = main(["shift", "--train", str(tmp_path / "train"),
+                 "--test", str(tmp_path / "mixed"), "--test", str(tmp_path / "small"),
+                 "--depth", "3", "--weights", "constant:0.7", "--mode", "mean",
+                 "--lipschitz-product", "1.5", "--threads", threads, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "shift_report.json").read_bytes()
+
+
 def test_shift_test_name_count_mismatch(tmp_path):
     tu = tmp_path / "tu"
     tu.mkdir()

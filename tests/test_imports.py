@@ -1,9 +1,9 @@
 """Import boundaries: which modules a fresh interpreter loads, and the lazy
 package exports. Commands that never solve a transport run without SciPy;
-the distance engine loads only the two compiled SciPy modules it calls, the
-dataset LP `scipy.optimize`, and the first use of the package's public API
-all of them. Only the `tmd` entry points touch the environment: they run
-BLAS single-threaded.
+the distance engine and the first use of the package's public API load only
+the two compiled SciPy modules the engine calls, and the dataset LP only
+SciPy's compiled HiGHS module: no SciPy package is ever loaded. Only the
+`tmd` entry points touch the environment: they run BLAS single-threaded.
 
 Each check runs in a new `sys.executable` process, because this test
 process has long since imported every module.
@@ -84,23 +84,37 @@ def test_commands_that_read_a_matrix_run_without_scipy(tmp_path):
 
 # the compiled modules of the two SciPy functions the engine calls
 KERNELS = ["scipy.optimize._lsap", "scipy.spatial._distance_pybind"]
+# SciPy's compiled HiGHS module, which registers submodules of its own
+HIGHS = "scipy.optimize._highspy._core"
 
 
-@pytest.mark.parametrize("code, whole_packages", [
-    pytest.param("import treemover.analysis", False, id="import treemover.analysis"),
-    pytest.param("import treemover\ntreemover.TmdConfig", True,
+def only_kernels_and_highs(loaded):
+    """True when `loaded` is the engine's kernels plus the HiGHS module and
+    its own submodules, and nothing else of SciPy."""
+    rest = set(loaded) - set(KERNELS)
+    return (set(KERNELS) <= set(loaded) and HIGHS in rest
+            and all(m == HIGHS or m.startswith(HIGHS + ".") for m in rest))
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import treemover.analysis", id="import treemover.analysis"),
+    pytest.param("import treemover\ntreemover.TmdConfig",
                  id="import treemover\ntreemover.TmdConfig"),
 ])
-def test_solver_loads_before_any_fork(code, whole_packages):
+def test_solver_loads_before_any_fork(code):
     # pairwise_tmd, or a program that uses the package, forks workers after
-    # this; they inherit the solver instead of each loading it again. The
-    # engine loads only the compiled modules it calls, the package API the
-    # whole SciPy packages too.
-    loaded = scipy_modules_after(code)
-    if whole_packages:
-        assert {"scipy.optimize", "scipy.spatial", *KERNELS} <= set(loaded)
-    else:
-        assert loaded == KERNELS
+    # this; they inherit the solver instead of each loading it again. Both
+    # the engine and the package API load only the compiled modules the
+    # engine calls, and no SciPy package.
+    assert scipy_modules_after(code) == KERNELS
+
+
+def test_dataset_lp_loads_only_the_highs_module():
+    loaded = scipy_modules_after(
+        "import numpy as np, treemover\n"
+        "treemover.solve_transport(np.array([[0.0, 1.0], [2.0, 0.5]]),\n"
+        "                          [0.5, 0.5], [0.25, 0.75])\n")
+    assert only_kernels_and_highs(loaded), loaded
 
 
 def test_engine_kernels_are_scipys_own():
@@ -113,6 +127,27 @@ def test_engine_kernels_are_scipys_own():
         "    scipy.spatial.distance._distance_pybind.cdist_euclidean\n"
         "    is distance.cdist_euclidean]))\n")
     assert same == [True, True]
+
+
+def test_transport_lp_module_is_scipys_own():
+    # a later `import scipy.optimize` reuses the HiGHS module the LP loaded,
+    # and linprog still runs on it, with the LP's own solution
+    same = run_fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from treemover import ot\n"
+        "c = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])\n"
+        "a, b = np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5])\n"
+        "x = ot._transport_lp(c, a, b)\n"
+        f"core = sys.modules[{HIGHS!r}]\n"
+        "import scipy.optimize, scipy.optimize._highspy._highs_wrapper as wrapper\n"
+        "a_eq = np.vstack([np.kron(np.eye(2), np.ones(3)), np.tile(np.eye(3), 2)])\n"
+        "res = scipy.optimize.linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),\n"
+        "                             bounds=(0, None), method='highs')\n"
+        "print(json.dumps([wrapper._h is core,\n"
+        "                  ot.linear_sum_assignment is scipy.optimize.linear_sum_assignment,\n"
+        "                  bool(res.success), res.x.tobytes() == x.tobytes()]))\n")
+    assert same == [True, True, True, True]
 
 
 def test_public_scipy_functions_are_the_fallback(monkeypatch):
@@ -159,16 +194,22 @@ def shift_argv(tmp_path):
             "--weights", "constant:0.5", "--out", str(tmp_path / "shift.json")]
 
 
-def test_only_the_dataset_lp_loads_scipy_optimize(tmp_path):
+def test_dist_and_shift_load_no_scipy_package(tmp_path):
     runs = [dist_argv(tmp_path), shift_argv(tmp_path)]
     code = ("import contextlib, io, json, sys\n"
             "from treemover.cli import main\n"
             "seen = []\n"
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        seen.append([main(argv), 'scipy.optimize' in sys.modules])\n"
+            "        code = main(argv)\n"
+            "    seen.append([code, sorted(m for m in sys.modules\n"
+            "                              if m == 'scipy' or m.startswith('scipy.'))])\n"
             "print(json.dumps(seen))\n")
-    assert run_fresh(code) == [[0, False], [0, True]]
+    (dist_code, after_dist), (shift_code, after_shift) = run_fresh(code)
+    assert [dist_code, shift_code] == [0, 0]
+    assert after_dist == KERNELS
+    assert only_kernels_and_highs(after_shift), after_shift
+    assert "scipy.optimize" not in after_shift
 
 
 # records OPENBLAS_NUM_THREADS when numpy is first imported, which is when

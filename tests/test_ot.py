@@ -6,12 +6,16 @@ problems. They are written first and frozen; the solvers must match them.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treemover import TransportPlan, augmented_ot, solve_assignment, solve_transport
+from treemover import ot
 from treemover.ot import _padded_matrix
+
+from references import reference_solve_transport
 
 
 # ---------------------------------------------------------------- oracles
@@ -240,6 +244,60 @@ def test_transport_rejects_bad_input():
         solve_transport([[1.0, 2.0]], [1.0], [0.5])  # marginal length
     with pytest.raises(ValueError):
         solve_transport([[-1.0]], [1.0], [1.0])  # negative cost
+
+
+def random_transport_problems(seed, count, max_side):
+    """Seeded (cost, row_mass, col_mass) triples of shapes 1..max_side:
+    uniform and non-uniform masses, and every third cost rounded to an
+    integer, so many optima tie."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        m, n = (int(s) for s in rng.integers(1, max_side + 1, size=2))
+        c = rng.uniform(0.0, 3.0, size=(m, n))
+        if t % 3 == 2:
+            c = np.round(c)
+        if t % 2:
+            a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        else:
+            a = rng.uniform(0.01, 1.0, size=m)
+            b = rng.uniform(0.01, 1.0, size=n)
+            b *= a.sum() / b.sum()
+        yield c, a, b
+
+
+def plan_bytes(plan):
+    return plan.flow.tobytes(), np.float64(plan.cost).tobytes()
+
+
+def test_transport_is_linprog_bitwise():
+    for c, a, b in random_transport_problems(17, 1000, 16):
+        flow, cost = reference_solve_transport(c, a, b)
+        want = flow.tobytes(), np.float64(cost).tobytes()
+        assert plan_bytes(solve_transport(c, a, b)) == want, (c, a, b)
+
+
+def test_public_linprog_is_the_transport_fallback(monkeypatch):
+    problems = list(random_transport_problems(29, 150, 12))
+    fast = [plan_bytes(solve_transport(*p)) for p in problems]
+    asked = []
+    monkeypatch.setattr(ot, "_load_extension", lambda name: asked.append(name))
+    assert [plan_bytes(solve_transport(*p)) for p in problems] == fast
+    assert set(asked) == {"scipy.optimize._highspy._core"}
+
+
+def test_transport_memory_is_linear_in_the_variables():
+    # a dense (m + n) x m n constraint matrix would take about 220 MB
+    m = 150
+    c = np.random.default_rng(2).uniform(0.0, 1.0, size=(m, m))
+    mass = np.full(m, 1.0 / m)
+    solve_transport(c, mass, mass)  # loads the solver outside the trace
+    tracemalloc.start()
+    try:
+        solve_transport(c, mass, mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -------------------------------------------------------------- augmented
