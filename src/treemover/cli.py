@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: dist, gram, knn, cluster, shift, lipschitz, perturb, wl.
-Distance matrices go to CSV (with a `# config:` provenance header), reports
-to JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or malformed
-input files, 3 invalid configuration. `TMD_THREADS` sets the default worker
-count.
+Each handler returns its result, a report or a distance matrix, and `main`
+writes it to --out: matrices as CSV (with a `# config:` provenance header),
+reports as JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or
+malformed input files, 3 invalid configuration. Every input kind (graph,
+dataset and model JSON, the benchmark text layout, label files and distance
+CSVs) names `path` or `path:line` in its errors. `TMD_THREADS` sets the
+default worker count.
 
 The `tmd` process runs BLAS single-threaded (see `launcher`): the `tmd`
 script and `python -m treemover.cli` both set `OPENBLAS_NUM_THREADS=1`,
@@ -37,7 +40,7 @@ import sys
 import numpy as np
 
 from .graphs import (DatasetFormatError, GraphDataset, load_dataset_json,
-                     load_graph_json, standardize_datasets, write_json)
+                     load_graph_json, read_rows, standardize_datasets, write_json)
 from .learn import kmedoids, loo_knn_accuracy, majority_rate, nmi, completeness_score
 from .matrix import DistanceMatrix, gram_matrix, load_distance_csv, save_distance_csv
 from .schedule import ConfigError, TmdConfig, constant_weights, pascal_weights
@@ -95,20 +98,16 @@ def load_dataset(path, name=None):
         if not files:
             raise FileNotFoundError(f"no .json graphs in {path}")
         graphs = tuple(load_graph_json(f) for f in files)
+        for f, g in zip(files, graphs):
+            if g.feature_dim != graphs[0].feature_dim:
+                raise DatasetFormatError(f"{f}: feature dimension {g.feature_dim}, "
+                                         f"{files[0]} has {graphs[0].feature_dim}")
         return GraphDataset(graphs, None, os.path.basename(os.path.normpath(path)))
     raise FileNotFoundError(f"no such dataset path: {path}")
 
 
 def _config_from_args(args):
     return TmdConfig(args.depth, parse_weights(args.weights), args.mode)
-
-
-def _add_config_flags(p):
-    p.add_argument("--depth", type=int, required=True,
-                   help="tree depth L of the distance")
-    p.add_argument("--weights", required=True,
-                   help="'constant:C' or 'pascal:DEPTH[,EPSILON]'")
-    p.add_argument("--mode", choices=("sum", "mean"), default="sum")
 
 
 def cmd_dist(args):
@@ -121,29 +120,18 @@ def cmd_dist(args):
         ds_a = both[0]
         ds_b = both[1] if ds_b else None
     cfg = _config_from_args(args)
-    dm = pairwise_tmd(ds_a, ds_b, cfg, threads=args.threads)
-    save_distance_csv(args.out, dm)
-    print(f"wrote {args.out}")
-    return 0
+    return pairwise_tmd(ds_a, ds_b, cfg, threads=args.threads), None
 
 
 def cmd_gram(args):
     dm = load_distance_csv(args.matrix)
     k = gram_matrix(dm, args.gamma)
-    out = DistanceMatrix(k, dm.row_ids, dm.col_ids, dm.config)
-    save_distance_csv(args.out, out, extra={"gamma": args.gamma})
-    print(f"wrote {args.out}")
-    return 0
+    return DistanceMatrix(k, dm.row_ids, dm.col_ids, dm.config), {"gamma": args.gamma}
 
 
 def _read_labels(path, rows):
     """Integer labels, one per non-blank line, for a matrix of `rows` rows."""
-    with open(path) as fh:
-        toks = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        labels = [int(t) for t in toks]
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: labels must be integers: {exc}") from exc
+    labels = [y for _, (y,) in read_rows(path, int, width=1)]
     if len(labels) != rows:
         raise ConfigError(f"{len(labels)} labels for a {rows}-row matrix")
     return labels
@@ -153,7 +141,7 @@ def cmd_knn(args):
     dm = load_distance_csv(args.matrix)
     labels = _read_labels(args.labels, dm.values.shape[0])
     acc = loo_knn_accuracy(dm.values, labels, args.k)
-    report = {
+    return {
         "matrix": args.matrix,
         "config": dm.config.to_json() if dm.config else None,
         "k": args.k,
@@ -161,9 +149,6 @@ def cmd_knn(args):
         "majority_rate": float(majority_rate(labels)),
         "count": len(labels),
     }
-    write_json(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
 
 
 def cmd_cluster(args):
@@ -185,14 +170,12 @@ def cmd_cluster(args):
         labels = _read_labels(args.labels, dm.values.shape[0])
         report["nmi"] = nmi(labels, assignments)
         report["completeness"] = completeness_score(labels, assignments)
-    write_json(args.out, report)
     if args.assignments:
         with open(args.assignments, "w") as fh:
             fh.write("graph_id,cluster_id\n")
             for i, c in enumerate(assignments):
                 fh.write(f"{i},{c}\n")
-    print(f"wrote {args.out}")
-    return 0
+    return report
 
 
 def cmd_shift(args):
@@ -209,12 +192,8 @@ def cmd_shift(args):
         all_ds = standardize_datasets([train] + tests)
         train, tests = all_ds[0], all_ds[1:]
     cfg = _config_from_args(args)
-    report = shift_report(train, tests, cfg,
-                          lipschitz_product=args.lipschitz_product,
-                          threads=args.threads)
-    write_json(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
+    return shift_report(train, tests, cfg, lipschitz_product=args.lipschitz_product,
+                        threads=args.threads)
 
 
 def cmd_lipschitz(args):
@@ -269,9 +248,7 @@ def cmd_lipschitz(args):
         report["pearson_r"] = pearson_r(lhs, dists)
     except ValueError:
         report["pearson_r"] = None
-    write_json(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
+    return report
 
 
 def cmd_perturb(args):
@@ -304,133 +281,125 @@ def cmd_perturb(args):
             raise ConfigError(f"--feature must be a JSON array: {exc}") from exc
         rep = node_perturbation_bound(g, args.perturb_node, x, cfg)
         detail = {"node": args.perturb_node, "feature": x}
-    report = {"graph": args.graph, "config": cfg.to_json(), **detail,
-              **rep.to_json()}
-    write_json(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
+    return {"graph": args.graph, "config": cfg.to_json(), **detail, **rep.to_json()}
 
 
 def cmd_wl(args):
     ga = load_graph_json(args.graph_a)
     gb = load_graph_json(args.graph_b)
     first = wl_first_difference(ga, gb, args.iterations)
-    report = {
+    return {
         "graph_a": args.graph_a,
         "graph_b": args.graph_b,
         "iterations": args.iterations,
         "distinguishable": first is not None,
         "iteration": first,
     }
-    write_json(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
+
+
+def _flags(*specs):
+    """A parent parser holding the flags `specs`, (name, keywords) pairs."""
+    p = argparse.ArgumentParser(add_help=False)
+    for name, kw in specs:
+        p.add_argument(name, **kw)
+    return p
 
 
 def build_parser():
     parser = _Parser(prog="tmd",
                      description="tree mover's distance toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _flags(("--out", dict(required=True)))
+    config = _flags(
+        ("--depth", dict(type=int, required=True, help="tree depth L of the distance")),
+        ("--weights", dict(required=True, help="'constant:C' or 'pascal:DEPTH[,EPSILON]'")),
+        ("--mode", dict(choices=("sum", "mean"), default="sum")))
+    pool = _flags(("--threads", dict(type=int, default=None)),
+                  ("--standardize", dict(action="store_true")))
+    matrix = _flags(("--matrix", dict(required=True)))
+    seed = _flags(("--seed", dict(type=int, default=0)))
 
-    p = sub.add_parser("dist", help="pairwise distance matrix to CSV")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, out])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("dist", cmd_dist, "pairwise distance matrix to CSV", config, pool)
     p.add_argument("--data", required=True)
     p.add_argument("--name", default=None, help="benchmark dataset name")
     p.add_argument("--data-b", default=None)
     p.add_argument("--name-b", default=None)
-    _add_config_flags(p)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("gram", help="Gaussian kernel matrix from a distance CSV")
-    p.add_argument("--matrix", required=True)
+    p = command("gram", cmd_gram, "Gaussian kernel matrix from a distance CSV", matrix)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("knn", help="leave-one-out k-NN accuracy report")
-    p.add_argument("--matrix", required=True)
+    p = command("knn", cmd_knn, "leave-one-out k-NN accuracy report", matrix)
     p.add_argument("--labels", required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_knn)
 
-    p = sub.add_parser("cluster", help="k-medoids clustering report")
-    p.add_argument("--matrix", required=True)
+    p = command("cluster", cmd_cluster, "k-medoids clustering report", matrix, seed)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labels", default=None)
     p.add_argument("--assignments", default=None,
                    help="also write graph_id,cluster_id CSV here")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("shift", help="rank test sets by transport distance from train")
+    p = command("shift", cmd_shift, "rank test sets by transport distance from train",
+                config, pool)
     p.add_argument("--train", required=True)
     p.add_argument("--train-name", default=None)
     p.add_argument("--test", action="append", required=True)
     p.add_argument("--test-name", action="append", default=None)
-    _add_config_flags(p)
     p.add_argument("--lipschitz-product", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_shift)
 
-    p = sub.add_parser("lipschitz", help="displacement-vs-bound check for a model")
+    p = command("lipschitz", cmd_lipschitz, "displacement-vs-bound check for a model",
+                seed)
     p.add_argument("--model", required=True)
     p.add_argument("--graph-a", default=None)
     p.add_argument("--graph-b", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--name", default=None)
     p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_lipschitz)
 
-    p = sub.add_parser("perturb", help="closed-form edit bound vs exact distance")
+    p = command("perturb", cmd_perturb, "closed-form edit bound vs exact distance", config)
     p.add_argument("--graph", required=True)
     p.add_argument("--drop-node", type=int, default=None)
     p.add_argument("--drop-edge", type=int, nargs=2, default=None,
                    metavar=("U", "V"))
     p.add_argument("--perturb-node", type=int, default=None)
     p.add_argument("--feature", default=None, help="JSON array replacing the feature")
-    _add_config_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("wl", help="color-refinement distinguishability report")
+    p = command("wl", cmd_wl, "color-refinement distinguishability report")
     p.add_argument("--graph-a", required=True)
     p.add_argument("--graph-b", required=True)
     p.add_argument("--iterations", type=int, default=3)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_wl)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one subcommand; write its report or matrix to --out.
+
+    Returns the exit code: 0, or 1, 2, 3 with the error on stderr.
+    """
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "threads", None) is None and hasattr(args, "threads"):
+        args = build_parser().parse_args(argv)
+        if getattr(args, "threads", 1) is None:  # dist, shift without --threads
             args.threads = _default_threads()
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, dict):
+            write_json(args.out, result)
+        else:
+            save_distance_csv(args.out, *result)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
-from .graphs import DatasetFormatError, degree_buckets, neighbor_index, read_json, write_json
+from .graphs import DatasetFormatError, degree_buckets, load_json, neighbor_index, write_json
 from .schedule import ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled
 
 
@@ -383,8 +383,4 @@ def save_model_json(path, model):
 
 
 def load_model_json(path):
-    obj = read_json(path)
-    try:
-        return model_from_json(obj)
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+    return load_json(path, model_from_json)

@@ -8,6 +8,7 @@ Graphs are immutable; every edit returns a new graph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,28 @@ class DatasetFormatError(ValueError):
     """Raised when an on-disk graph or dataset file is malformed."""
 
 
+def _label(y):
+    """y as an int; ValueError unless y is an integer value."""
+    try:
+        i = int(y)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != y:
+        raise ValueError(f"labels must be integers, got {y!r}")
+    return i
+
+
 def _normalize_edges(edges, n):
     out = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:
+            u, v = e
+            pair = int(u), int(v)
+        except (TypeError, ValueError, OverflowError):
+            pair = None
+        if pair is None or pair != (u, v):
+            raise ValueError(f"edge {e!r} is not a pair of integer node ids")
+        u, v = pair
         if u == v:
             raise ValueError(f"self loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -224,7 +243,7 @@ class GraphDataset:
                     )
         labels = self.labels
         if labels is not None:
-            labels = tuple(int(y) for y in labels)
+            labels = tuple(_label(y) for y in labels)
             if len(labels) != len(graphs):
                 raise ValueError(
                     f"{len(labels)} labels for {len(graphs)} graphs"
@@ -269,19 +288,74 @@ def graph_from_json(obj, feature_dim=1):
             arr = np.zeros((0, feature_dim))
         else:
             arr = np.asarray(feats, dtype=np.float64)
-        return AttributedGraph(arr, [tuple(e) for e in obj["edges"]])
+        return AttributedGraph(arr, obj["edges"])
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad graph JSON: {exc}") from exc
 
 
-def read_json(path):
-    """The JSON value in the file at path; a file that does not hold JSON
-    raises DatasetFormatError naming path."""
+def load_json(path, parse):
+    """parse(value) for the JSON value in the file at path.
+
+    A file that does not hold JSON, or whose value parse rejects with
+    DatasetFormatError, raises DatasetFormatError naming path.
+    """
     with open(path) as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+_EXPECTED = {int: "an integer", float: "a finite number"}
+
+
+def _parses(kind, token):
+    try:
+        value = kind(token)
+    except ValueError:
+        return False
+    return kind is int or math.isfinite(value)
+
+
+def read_rows(path, kind, width=None, count=None, skip=0):
+    """Yield (line number, row) for each non-blank line of the comma-separated
+    text file at path after its first `skip` lines; row holds the line's
+    tokens read as `kind`, int or float (finite).
+
+    Blank lines count toward line numbers. Raises DatasetFormatError naming
+    path:line for a token that is not of kind or a row whose length is not
+    `width` (by default the first row's), and naming path when `count`, a
+    pair (n, noun), is given and the file holds other than n rows.
+    """
+    rows = 0
+    with open(path, errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace() or lineno <= skip:
+                continue
+            tokens = line.split(",")
+            try:
+                row = [kind(t) for t in tokens]
+                if kind is float and not all(map(math.isfinite, row)):
+                    raise ValueError
+            except ValueError:
+                bad = next(t for t in tokens if not _parses(kind, t))
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: expected {_EXPECTED[kind]}, got {bad.strip()!r}"
+                ) from None
+            if len(row) != width:
+                if width is not None:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: {len(row)} values, expected {width} values"
+                    )
+                width = len(row)
+            rows += 1
+            yield lineno, row
+    if count is not None and rows != count[0]:
+        raise DatasetFormatError(f"{path}: {rows} rows for {count[0]} {count[1]}")
 
 
 def write_json(path, obj):
@@ -296,7 +370,7 @@ def save_graph_json(path, g):
 
 
 def load_graph_json(path):
-    return graph_from_json(read_json(path))
+    return load_json(path, graph_from_json)
 
 
 def dataset_to_json(ds):
@@ -308,10 +382,13 @@ def dataset_to_json(ds):
 
 
 def dataset_from_json(obj):
-    if not isinstance(obj, dict) or "graphs" not in obj:
-        raise DatasetFormatError("dataset JSON must have a 'graphs' key")
+    if not isinstance(obj, dict) or not isinstance(obj.get("graphs"), list):
+        raise DatasetFormatError("dataset JSON must have a 'graphs' list")
     graphs = [graph_from_json(go) for go in obj["graphs"]]
-    return GraphDataset(tuple(graphs), obj.get("labels"), obj.get("name", ""))
+    try:
+        return GraphDataset(tuple(graphs), obj.get("labels"), obj.get("name", ""))
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"bad dataset JSON: {exc}") from exc
 
 
 def save_dataset_json(path, ds):
@@ -319,7 +396,7 @@ def save_dataset_json(path, ds):
 
 
 def load_dataset_json(path):
-    return dataset_from_json(read_json(path))
+    return load_json(path, dataset_from_json)
 
 
 def standardize_datasets(datasets):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DatasetFormatError
+from .graphs import DatasetFormatError, read_rows
 from .schedule import TmdConfig
 
 
@@ -101,31 +101,16 @@ def load_distance_csv(path):
     """Read a matrix in the `save_distance_csv` layout; the header is optional.
 
     Raises DatasetFormatError naming `path:line` for a token that is not a
-    float, a row whose length differs from the first row's, or a malformed
-    header (line 1).
+    finite float, a row whose length differs from the first row's, or a
+    malformed header (line 1).
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    header = None
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
-        if lineno == 1 and ln.startswith("# config:"):
-            header = ln[len("# config:"):]
-            continue
-        if not ln.strip():
-            continue
-        try:
-            row = [float(tok) for tok in ln.split(",")]
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise DatasetFormatError(
-                f"{path}:{lineno}: {len(row)} values, the first row has {len(rows[0])}"
-            )
-        rows.append(row)
-    values = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+    with open(path, errors="replace") as fh:
+        first = fh.readline()
+    header = first[len("# config:"):].rstrip("\n") if first.startswith("# config:") else None
+    rows = [row for _, row in read_rows(path, float, skip=int(header is not None))]
+    values = np.array(rows) if rows else np.zeros((0, 0))
     if header is not None:
         return _from_header(path, header, values)
-    n, m = values.shape if values.size else (0, 0)
+    n, m = values.shape
     return DistanceMatrix(values, [str(i) for i in range(n)],
                           [str(j) for j in range(m)], None)

@@ -15,34 +15,15 @@ import os
 
 import numpy as np
 
-from .graphs import AttributedGraph, DatasetFormatError, GraphDataset
-
-
-def _read_lines(path):
-    with open(path) as fh:
-        return [ln.strip() for ln in fh if ln.strip()]
-
-
-def _parse_int(tok, path, lineno):
-    try:
-        return int(tok.strip())
-    except ValueError as exc:
-        raise DatasetFormatError(
-            f"{path}:{lineno}: expected an integer, got {tok.strip()!r}"
-        ) from exc
-
-
-def _parse_float(tok, path, lineno):
-    try:
-        return float(tok.strip())
-    except ValueError as exc:
-        raise DatasetFormatError(
-            f"{path}:{lineno}: expected a number, got {tok.strip()!r}"
-        ) from exc
+from .graphs import AttributedGraph, DatasetFormatError, GraphDataset, read_rows
 
 
 def parse_tudataset(directory, name):
-    """Load one dataset; returns graphs with 0-based node ids and labels."""
+    """Load one dataset; returns graphs with 0-based node ids and labels.
+
+    A malformed file raises DatasetFormatError naming it, and naming
+    `path:line` where one line is at fault (blank lines count).
+    """
     prefix = os.path.join(directory, name)
     indicator_path = prefix + "_graph_indicator.txt"
     edges_path = prefix + "_A.txt"
@@ -50,9 +31,7 @@ def parse_tudataset(directory, name):
         if not os.path.exists(path):
             raise FileNotFoundError(f"required file missing: {path}")
 
-    indicator = []
-    for i, ln in enumerate(_read_lines(indicator_path), start=1):
-        indicator.append(_parse_int(ln, indicator_path, i))
+    indicator = [gid for _, (gid,) in read_rows(indicator_path, int, width=1)]
     n_nodes = len(indicator)
     if n_nodes == 0:
         raise DatasetFormatError(f"{indicator_path}: no nodes")
@@ -76,14 +55,7 @@ def parse_tudataset(directory, name):
         first_node.setdefault(gid, node)
 
     edge_sets = [set() for _ in range(n_graphs)]
-    for i, ln in enumerate(_read_lines(edges_path), start=1):
-        toks = ln.split(",")
-        if len(toks) != 2:
-            raise DatasetFormatError(
-                f"{edges_path}:{i}: expected 'u, v', got {ln!r}"
-            )
-        u = _parse_int(toks[0], edges_path, i)
-        v = _parse_int(toks[1], edges_path, i)
+    for i, (u, v) in read_rows(edges_path, int, width=2):
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
             raise DatasetFormatError(
                 f"{edges_path}:{i}: node id out of range 1..{n_nodes}"
@@ -99,67 +71,25 @@ def parse_tudataset(directory, name):
         a, b = u - 1 - base, v - 1 - base
         edge_sets[gu - 1].add((a, b) if a < b else (b, a))
 
-    attrs = None
+    parts = []
     attrs_path = prefix + "_node_attributes.txt"
     if os.path.exists(attrs_path):
-        rows = []
-        width = None
-        for i, ln in enumerate(_read_lines(attrs_path), start=1):
-            row = [_parse_float(t, attrs_path, i) for t in ln.split(",")]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetFormatError(
-                    f"{attrs_path}:{i}: expected {width} values, got {len(row)}"
-                )
-            rows.append(row)
-        if len(rows) != n_nodes:
-            raise DatasetFormatError(
-                f"{attrs_path}: {len(rows)} rows for {n_nodes} nodes"
-            )
-        attrs = np.asarray(rows, dtype=np.float64)
-
-    onehot = None
+        parts.append(np.array([row for _, row in read_rows(
+            attrs_path, float, count=(n_nodes, "nodes"))]))
     labels_path = prefix + "_node_labels.txt"
     if os.path.exists(labels_path):
-        raw = []
-        for i, ln in enumerate(_read_lines(labels_path), start=1):
-            toks = ln.split(",")
-            if len(toks) != 1:
-                raise DatasetFormatError(
-                    f"{labels_path}:{i}: expected one label per line, got {ln!r}"
-                )
-            raw.append(_parse_int(toks[0], labels_path, i))
-        if len(raw) != n_nodes:
-            raise DatasetFormatError(
-                f"{labels_path}: {len(raw)} rows for {n_nodes} nodes"
-            )
-        alphabet = sorted(set(raw))
-        index = {lab: i for i, lab in enumerate(alphabet)}
-        onehot = np.zeros((n_nodes, len(alphabet)))
-        for node, lab in enumerate(raw):
-            onehot[node, index[lab]] = 1.0
-
-    if attrs is not None and onehot is not None:
-        features = np.hstack([attrs, onehot])
-    elif attrs is not None:
-        features = attrs
-    elif onehot is not None:
-        features = onehot
-    else:
-        features = np.ones((n_nodes, 1))
+        raw = [lab for _, (lab,) in read_rows(
+            labels_path, int, width=1, count=(n_nodes, "nodes"))]
+        # one-hot over the sorted label alphabet
+        alphabet, index = np.unique(raw, return_inverse=True)
+        parts.append(np.eye(len(alphabet))[index])
+    features = np.hstack(parts) if parts else np.ones((n_nodes, 1))
 
     graph_labels = None
     glabels_path = prefix + "_graph_labels.txt"
     if os.path.exists(glabels_path):
-        graph_labels = [
-            _parse_int(ln, glabels_path, i)
-            for i, ln in enumerate(_read_lines(glabels_path), start=1)
-        ]
-        if len(graph_labels) != n_graphs:
-            raise DatasetFormatError(
-                f"{glabels_path}: {len(graph_labels)} rows for {n_graphs} graphs"
-            )
+        graph_labels = [lab for _, (lab,) in read_rows(
+            glabels_path, int, width=1, count=(n_graphs, "graphs"))]
 
     graphs = []
     for gid in range(1, n_graphs + 1):

@@ -289,6 +289,16 @@ def test_csv_non_numeric_token_names_path_and_line(tmp_path):
         load_distance_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_cell_names_path_and_line(tmp_path, cell):
+    path = tmp_path / "inf.csv"
+    path.write_text('# config:{"config":null,"row_ids":["a","b"],"col_ids":["a","b"]}\n'
+                    f"0.0,1.0\n\n1.0,{cell}\n")
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:4: "
+                                                 rf"expected a finite number, got '{cell}'$"):
+        load_distance_csv(path)
+
+
 @pytest.mark.parametrize("header, message", [
     ('{"config":null}', "header needs 'row_ids' and 'col_ids'"),
     ('[["a","b"],["a","b"]]', "header needs 'row_ids' and 'col_ids'"),

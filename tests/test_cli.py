@@ -592,6 +592,98 @@ def test_exit_malformed_distance_csv(two_cluster_dir, tmp_path, capsys):
         assert f"error: {mat}:{line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0.5, 1.9]])
+def test_exit_graph_json_edge_not_an_integer_pair(tmp_path, capsys, edge):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"features": [[1.0], [2.0], [3.0]], "edges": [edge]}))
+    out = tmp_path / "w.json"
+    assert main(["wl", "--graph-a", str(bad), "--graph-b", str(fixture_path("path3")),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: bad graph JSON: edge {edge} is not a pair of integer node ids\n")
+    assert not out.exists()
+
+
+def test_exit_graph_json_nan_feature_names_its_file(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a.json").write_text(fixture_path("path3").read_text())
+    (d / "b.json").write_text('{"features": [[NaN], [1.0]], "edges": [[0, 1]]}')
+    out = tmp_path / "m.csv"
+    assert run_dist(d, out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {d / 'b.json'}: bad graph JSON: features must be finite\n")
+    assert not out.exists()
+
+
+def test_exit_graph_directory_of_mixed_dimensions_names_the_file(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a.json").write_text(fixture_path("path3").read_text())
+    (d / "b.json").write_text('{"features": [[1.0, 2.0]], "edges": []}')
+    assert run_dist(d, tmp_path / "m.csv") == 2
+    assert capsys.readouterr().err == (
+        f"error: {d / 'b.json'}: feature dimension 2, {d / 'a.json'} has 1\n")
+
+
+ONE = {"features": [[1.0]], "edges": []}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"graphs": 5}, "dataset JSON must have a 'graphs' list"),
+    ({"graphs": [ONE, ONE], "labels": ["a", "b"]},
+     "bad dataset JSON: labels must be integers, got 'a'"),
+    ({"graphs": [ONE, ONE], "labels": [0.5, 1]},
+     "bad dataset JSON: labels must be integers, got 0.5"),
+    ({"graphs": [ONE, ONE], "labels": [0]}, "bad dataset JSON: 1 labels for 2 graphs"),
+    ({"graphs": [ONE, {"features": [[1.0, 2.0]], "edges": []}]},
+     "bad dataset JSON: graph 1 has feature dimension 2, expected 1"),
+])
+def test_exit_malformed_dataset_json_names_its_file(tmp_path, capsys, obj, message):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "m.csv"
+    assert run_dist(path, out) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("part, text, line, message", [
+    ("node_attributes", "1.0\n\nnan\n", 3, "expected a finite number, got 'nan'"),
+    ("node_attributes", "1.0\ninf\n", 2, "expected a finite number, got 'inf'"),
+    ("A", "1, 2\n\n\nx, 2\n", 4, "expected an integer, got 'x'"),
+    ("A", "1, 2\n\n1, 5\n", 3, "node id out of range 1..2"),
+])
+def test_exit_malformed_text_layout_names_path_and_line(tmp_path, capsys, part, text,
+                                                        line, message):
+    write_dataset(tmp_path, "toy", indicator=[1, 1], edges=[(1, 2)],
+                  node_attrs=[[1.0], [2.0]])
+    path = tmp_path / f"toy_{part}.txt"
+    path.write_text(text)
+    out = tmp_path / "m.csv"
+    assert main(["dist", "--data", str(tmp_path), "--name", "toy", "--depth", "2",
+                 "--weights", "constant:1.0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["knn", "--labels", "LABELS"],
+    ["cluster", "--k", "2"],
+    ["gram", "--gamma", "1.0"],
+])
+def test_exit_non_finite_distance_csv(two_cluster_dir, tmp_path, capsys, command):
+    _, labels = two_cluster_dir
+    mat = tmp_path / "nan.csv"
+    mat.write_text("0.0,1.0\nnan,0.0\n")
+    out = tmp_path / "out"
+    argv = [command[0], "--matrix", str(mat),
+            *[str(labels) if a == "LABELS" else a for a in command[1:]], "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {mat}:2: expected a finite number, got 'nan'\n"
+    assert not out.exists()
+
+
 def test_exit_norm_overflow(tmp_path, capsys):
     d = tmp_path / "dense"
     d.mkdir()

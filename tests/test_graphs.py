@@ -1,5 +1,7 @@
 """Graph construction, edits, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,25 @@ def test_construction_rejects_bad_edges():
         AttributedGraph(np.ones((2, 1)), [(0, 2)])  # out of range
     with pytest.raises(ValueError):
         AttributedGraph(np.array([[np.nan]]), [])
+
+
+@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0.5, 1.9]])
+def test_construction_rejects_edges_that_are_not_integer_pairs(edge):
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} is not a pair "
+                                         r"of integer node ids$"):
+        AttributedGraph(np.ones((3, 1)), [edge])
+
+
+def test_construction_accepts_integral_ids_of_any_type():
+    g = AttributedGraph(np.ones((3, 1)), [(np.int64(0), 1.0), np.array([2, 1])])
+    assert g.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("labels", [["a"], [0.5], [None]])
+def test_dataset_rejects_labels_that_are_not_integers(labels):
+    g = AttributedGraph(np.ones((1, 1)), [])
+    with pytest.raises(ValueError, match=r"^labels must be integers, got "):
+        GraphDataset((g,), labels)
 
 
 def test_features_are_immutable():

@@ -17,33 +17,45 @@ between their depth-k computation trees is 0 (features hold zeros of both
 signs but no all-zero row), and the order between two graphs' classes does
 not depend on the other graphs refined with them.
 
+Mutated input files (graph, dataset and model JSON, and the text layout)
+never make `cli.main` raise: it exits 0, 2 or 3, and an exit of 2 names the
+file at fault.
+
 Features of 0 make all-zero rows common, so the distance's warning about
 them is silenced where a test computes one.
 """
 
+import contextlib
+import copy
+import io
+import json
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treemover import (AttributedGraph, GraphDataset, TmdConfig, computation_tree,
                        constant_weights, drop_edge, drop_node, edge_drop_bound, gin_forward,
-                       lipschitz_check, matching_config, naive_tmd, naive_tree_distance,
-                       node_drop_bound, node_perturbation_bound, pairwise_tmd,
-                       pascal_weights, permute_nodes, perturb_feature, random_gin, tmd,
-                       tree_widths)
+                       lipschitz_check, matching_config, model_to_json, naive_tmd,
+                       naive_tree_distance, node_drop_bound, node_perturbation_bound,
+                       pairwise_tmd, pascal_weights, permute_nodes, perturb_feature,
+                       random_gin, tmd, tree_widths)
+from treemover import cli
 from treemover.distance import pair_distances, prepare_graph
 from treemover.wl import refine_classes
 
 from references import reference_gin_forward, reference_tree_widths
+from test_tudataset import write_dataset
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
 SIGNED = (-1.0, -0.0, 0.0, 1.0)
 SCHEDULES = (constant_weights(0.7), pascal_weights(4))
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 ZERO_ROWS = pytest.mark.filterwarnings("ignore:.*all-zero feature vectors:RuntimeWarning")
+# mutated files hold values such as 1e300, on which numpy warns of overflow
+ODD_NUMBERS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 @st.composite
@@ -216,3 +228,130 @@ def test_refinement_class_order_independent_of_other_graphs(data):
         a = np.array(alone[0] + alone[1])
         b = np.array(joint[1] + joint[3])
         assert np.array_equal(np.sign(a[:, None] - a), np.sign(b[:, None] - b))
+
+
+# --- malformed input files ---
+
+# the files are rewritten in place for each example
+FUZZ = settings(PROPERTY, max_examples=150,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+ODD_VALUES = (None, True, "x", -1, 0.5, 1e300, [], {}, [[]], float("nan"), float("inf"))
+ODD_TOKENS = ("nan", "inf", "x", "", "1.5", "-1", "0", "2", "9")
+
+
+@st.composite
+def mutated_json(draw, value):
+    """value with one node changed: a key or item dropped, a list shortened
+    or lengthened by one item (a row truncated, an edge's arity changed), or
+    the node replaced by a value of another type or NaN."""
+    value = copy.deepcopy(value)
+    parent, key, node = None, None, value
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        parent, node = node, node[key]
+    ops = ["replace"]
+    if parent is not None:
+        ops.append("drop")
+    if isinstance(node, list) and node:
+        ops += ["shorten", "lengthen"]
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[key]
+    elif op == "shorten":
+        node.pop()
+    elif op == "lengthen":
+        node.append(copy.deepcopy(node[-1]))
+    elif parent is None:
+        value = draw(st.sampled_from(ODD_VALUES))
+    else:
+        parent[key] = draw(st.sampled_from(ODD_VALUES))
+    return value
+
+
+def run_cli(argv):
+    """(exit code, stderr) of cli.main(argv)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def check_exit(code, err, named):
+    """The exit code is 0, 2 or 3, and an exit of 2 prints `error: {named}...`."""
+    assert code in (0, 2, 3), err
+    if code == 2:
+        assert err.startswith(f"error: {named}"), err
+
+
+GRAPH = {"features": [[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]], "edges": [[0, 1], [1, 2]]}
+DATASET = {"name": "toy", "labels": [0, 1],
+           "graphs": [GRAPH, {"features": [[1.0, 1.0]], "edges": []}]}
+MODEL = model_to_json(random_gin(2, 3, 2, seed=0))
+
+
+@ODD_NUMBERS
+@FUZZ
+@given(st.sampled_from(["graph", "model"]), st.data())
+def test_mutated_graph_and_model_json(tmp_path, kind, data):
+    files = {"graph": (tmp_path / "graph.json", GRAPH), "model": (tmp_path / "model.json", MODEL),
+             "other": (tmp_path / "other.json", GRAPH)}
+    for path, value in files.values():
+        path.write_text(json.dumps(value))
+    path, value = files[kind]
+    path.write_text(json.dumps(data.draw(mutated_json(value))))
+    code, err = run_cli(["lipschitz", "--model", files["model"][0],
+                         "--graph-a", files["graph"][0], "--graph-b", files["other"][0],
+                         "--out", tmp_path / "l.json"])
+    check_exit(code, err, f"{path}: ")
+
+
+@ODD_NUMBERS
+@FUZZ
+@given(st.data())
+def test_mutated_dataset_json(tmp_path, data):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(data.draw(mutated_json(DATASET))))
+    code, err = run_cli(["dist", "--data", path, "--depth", "2", "--weights", "constant:1.0",
+                         "--out", tmp_path / "m.csv"])
+    check_exit(code, err, f"{path}: ")
+
+
+@st.composite
+def mutated_rows(draw, rows):
+    """rows with one line dropped, blank, truncated, lengthened or with one
+    token replaced (by NaN, a word, a fraction, ...)."""
+    rows = [list(r) for r in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    op = draw(st.sampled_from(["drop", "blank", "truncate", "lengthen", "replace"]))
+    if op == "drop":
+        del rows[i]
+    elif op == "blank":
+        rows.insert(i, [])
+    elif op == "truncate":
+        rows[i].pop()
+    elif op == "lengthen":
+        rows[i].append(draw(st.sampled_from(ODD_TOKENS)))
+    else:
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+    return rows
+
+
+@ODD_NUMBERS
+@FUZZ
+@given(st.sampled_from(["graph_indicator", "A", "node_attributes", "node_labels",
+                        "graph_labels"]), st.data())
+def test_mutated_text_layout(tmp_path, part, data):
+    write_dataset(tmp_path, "toy", indicator=[1, 1, 1, 2, 2],
+                  edges=[(1, 2), (2, 1), (2, 3), (3, 2), (4, 5), (5, 4)],
+                  node_attrs=[[0.5, 1.0], [1.5, -1.0], [0.0, 2.0], [1.0, 1.0], [2.0, 0.5]],
+                  node_labels=[0, 1, 1, 0, 2], graph_labels=[1, -1])
+    path = tmp_path / f"toy_{part}.txt"
+    rows = [ln.split(",") for ln in path.read_text().splitlines()]
+    path.write_text("".join(",".join(r) + "\n" for r in data.draw(mutated_rows(rows))))
+    code, err = run_cli(["dist", "--data", tmp_path, "--name", "toy", "--depth", "2",
+                         "--weights", "constant:1.0", "--out", tmp_path / "m.csv"])
+    # a change to one file can leave another inconsistent with it (a dropped
+    # graph id puts an edge out of range), so the error names some file of
+    # the layout
+    check_exit(code, err, f"{tmp_path / 'toy_'}")

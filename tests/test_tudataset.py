@@ -1,5 +1,6 @@
 """Plain-text benchmark dataset reader: layout handling and validation."""
 
+import re
 import urllib.error
 import urllib.request
 
@@ -186,6 +187,34 @@ def test_rejects_graph_label_count_mismatch(tmp_path):
     write_dataset(tmp_path, "toy", indicator=[1, 2, 2], edges=[],
                   graph_labels=[1, 2, 3])
     with pytest.raises(DatasetFormatError, match="rows for 2 graphs"):
+        parse_tudataset(tmp_path, "toy")
+
+
+@pytest.mark.parametrize("part, text, line, message", [
+    ("node_attributes", "1.0\n\nnan\n", 3, "expected a finite number, got 'nan'"),
+    ("node_attributes", "\n-inf\n1.0\n", 2, "expected a finite number, got '-inf'"),
+    ("A", "1, 2\n\n\nx, 2\n", 4, "expected an integer, got 'x'"),
+    ("A", "1, 2\n\n1, 5\n", 3, "node id out of range 1..4"),
+    ("A", "\n2, 2\n", 2, "self loop at node 2"),
+    ("A", "1, 2\n\n\n2, 3\n", 4, "edge (2, 3) spans graphs 1 and 2"),
+    ("A", "\n1, 2, 3\n", 2, "3 values, expected 2 values"),
+])
+def test_errors_name_the_line_counting_blank_lines(tmp_path, part, text, line, message):
+    write_dataset(tmp_path, "toy", indicator=[1, 1, 2, 2], edges=[(1, 2)],
+                  node_attrs=[[1.0], [2.0], [3.0], [4.0]])
+    path = tmp_path / f"toy_{part}.txt"
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError,
+                       match=rf"^{re.escape(str(path))}:{line}: {re.escape(message)}$"):
+        parse_tudataset(tmp_path, "toy")
+
+
+def test_undecodable_bytes_name_the_line(tmp_path):
+    write_dataset(tmp_path, "toy", indicator=[1, 1], edges=[(1, 2)])
+    path = tmp_path / "toy_graph_indicator.txt"
+    path.write_bytes(b"1\n\n\xff\n")
+    with pytest.raises(DatasetFormatError,
+                       match=rf"^{re.escape(str(path))}:3: expected an integer, got "):
         parse_tudataset(tmp_path, "toy")
 
 
