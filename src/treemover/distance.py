@@ -2,10 +2,10 @@
 
 The distance unrolls each graph into depth-L computation trees (one per
 node), measures tree pairs with a recursive transport distance, and couples
-the two tree multisets with one final transport step. Everything here works
-on a dynamic-programming table indexed by node pairs, so the trees are never
-materialised; `trees.naive_tmd` is the literal recursive evaluator kept as a
-cross-check.
+the two tree multisets with one more such transport, at a root level.
+Everything here works on a dynamic-programming table indexed by node pairs,
+so the trees are never materialised; `trees.naive_tmd` is the literal
+recursive evaluator kept as a cross-check.
 
 For depth-k trees the pair distance is
 
@@ -32,21 +32,22 @@ are the tree norms at every depth, and tree norms come only from there:
 `prepared_norm_levels` is the blank column of a graph's tables against the
 empty graph, read by `tree_norm_levels`, `tree_norm` and the bounds.
 
-The engine runs on batches of graph pairs. A batch concatenates the tables
-of its pairs into one flat array per depth, with per-pair offsets, and
-groups its cells (node pairs) once, with one stable sort
-(`graphs.group_indices`): cells of two trees by padded size, cells of a
-tree against a leaf by the tree's degree. Each depth then makes, per size,
-one `take` that gathers the (P, s, s) child costs of every pair, one
-assignment per cell whose nodes both have neighbours, and one `take` of the
-assigned entries at precomputed row offsets; per degree, one `take` and
-one sum for the leaf cells, which make no assignment. A cell's value does
-not depend on the other pairs of its batch. `pair_distances` is the one entry to the distance: it puts
-each pair in canonical key order, so every value is bitwise symmetric, and
-runs batches as large as a bound on their memory allows (a whole matrix
-row of molecule-sized graphs). `tmd` and the bounds reach it through
-`prepared_tmd`, and `analysis.pairwise_tmd` directly. A pair's checks and
-warnings have one home too, `_check_pair`, and every zero-feature warning
+The engine runs on batches of graph pairs. A batch concatenates the tables of
+its pairs into one flat array per depth, with per-pair offsets. Each level
+groups its cells once, with one stable sort (`graphs.group_indices`): cells of
+two trees by padded size, of a tree against a leaf by its degree. A node
+level's cells are node pairs. At the root level each pair is one cell, whose
+children are its graphs' trees in the last table: the final transport is a
+child transport, with the same padding, leaf rule and mean scaling, and two
+empty graphs, two leaves, cost 0. `_child_costs` makes per size one `take` of
+the (P, s, s) child costs, one assignment per cell and one `take` of the
+assigned entries; per degree, one `take` and one sum. A cell's value does not
+depend on the other pairs of its batch. `pair_distances` is the one entry to
+the distance: it puts each pair in canonical key order, so every value is
+bitwise symmetric, and runs batches as large as a bound on their memory allows
+(a whole matrix row of molecule-sized graphs). `tmd` and the bounds reach it
+through `prepared_tmd`, and `analysis.pairwise_tmd` directly. A pair's checks
+and warnings have one home too, `_check_pair`, and every zero-feature warning
 names the caller's line outside the package (or in its command line).
 
 The engine calls two compiled SciPy functions: `linear_sum_assignment` and
@@ -254,29 +255,46 @@ def _batch_layout(pairs):
     return starts, np.concatenate(ia), np.concatenate(ib), np.concatenate(core)
 
 
-def _child_buckets(pairs, starts, ia, ib, deg_a, deg_b):
-    """A batch's cells with neighbours on at least one side, grouped once.
+def _child_index(pairs, starts):
+    """(rows, cols): each a-side node's children as flat offsets of rows of
+    its pair's table, each b-side node's as columns, blank-padded to the
+    batch's widest neighbour list."""
+    width = max(max(a.pad.shape[1], b.pad.shape[1]) for a, b in pairs)
+    rows = np.concatenate([start + _widen(a.pad, width, a.node_count) * len(b.deg)
+                           for (a, b), start in zip(pairs, starts)])
+    cols = np.concatenate([_widen(b.pad, width, b.node_count) for _, b in pairs])
+    return rows, cols
 
-    deg_a and deg_b are the degrees of each cell's two nodes. Returns
-    (transports, leaves), each bucket's cells in ascending order.
-    transports holds (cells, gather, offs, s) per size s = max(deg u, deg v)
-    of the cells whose nodes both have neighbours: gather the (P, s, s) flat
-    indices into the batch's flat tables that pick each cell's blank-padded
-    child cost matrix, and offs the (P, s) flat offsets p*s*s + i*s of each
-    row of those P matrices. leaves holds (cells, gather, d) per degree d of
-    the tree in the cells of a tree against a leaf (the blank included):
-    gather the (P, d) flat indices of the tree's children's entries in the
-    blank column (a-side tree) or blank row (b-side tree).
+
+def _root_buckets(pairs, starts):
+    """`_child_buckets` of a batch's root level: cell p's children are the
+    trees of pair p's graphs, rows min(i, n_a) and columns min(j, n_b) of
+    its last table."""
+    na, nb = (np.array([g.node_count for g in side]) for side in zip(*pairs))
+    pick = np.arange(max(na.max(), nb.max()))
+    rows = np.array(starts)[:, None] + np.minimum(pick, na[:, None]) * (nb[:, None] + 1)
+    cells = np.arange(len(pairs))
+    return _child_buckets(rows, np.minimum(pick, nb[:, None]), cells, cells, na, nb)
+
+
+def _child_buckets(rows, cols, ia, ib, deg_a, deg_b):
+    """A level's cells with children on at least one side, grouped once.
+
+    Cell c is a tree with deg_a[c] children, at the blank-padded rows[ia[c]]
+    of the flat tables, against one with deg_b[c] at columns cols[ib[c]].
+    Returns (transports, leaves), each bucket's cells in ascending order.
+    transports holds (cells, gather, offs, s) per size s = max(deg_a, deg_b)
+    of the cells whose trees both have children: gather the (P, s, s) flat
+    indices that pick each cell's blank-padded child cost matrix, and offs
+    the (P, s) flat offsets p*s*s + i*s of each row of those P matrices.
+    leaves holds (cells, gather, d) per degree d of the tree in the cells of
+    a tree against a leaf (the blank included): gather the (P, d) flat
+    indices of the tree's children's entries in the blank column (a-side
+    tree) or blank row (b-side tree).
     """
     size = np.maximum(deg_a, deg_b)
     # a tree against a leaf is keyed by minus its degree, two leaves by 0
     size[(deg_a == 0) | (deg_b == 0)] *= -1
-    width = max(max(a.pad.shape[1], b.pad.shape[1]) for a, b in pairs)
-    # each a-side node's neighbours as rows of its pair's table, and each
-    # b-side node's as columns, blank-padded to the batch's width
-    rows = np.concatenate([start + _widen(a.pad, width, a.node_count) * len(b.deg)
-                           for (a, b), start in zip(pairs, starts)])
-    cols = np.concatenate([_widen(b.pad, width, b.node_count) for _, b in pairs])
     transports, leaves = [], []
     for key, cells in group_indices(size):
         s = abs(key)
@@ -288,27 +306,30 @@ def _child_buckets(pairs, starts, ia, ib, deg_a, deg_b):
             offs = np.arange(len(cells))[:, None] * (s * s) + np.arange(s) * s
             transports.append((cells, row[:, :, None] + col[:, None, :], offs, s))
         else:
-            # the leaf's neighbour row is all blank, so row + col runs along
+            # the leaf's children are all blank, so row + col runs along
             # the tree's children against the blank
             leaves.append((cells, row + col, s))
     return transports, leaves
 
 
-def _child_costs(prev, transports, leaves, mean):
-    """Yield (cells, costs): the child transport values of each bucket.
+def _child_costs(prev, transports, leaves, count, mean):
+    """The child transports of a level's `count` cells, grouped by
+    `_child_buckets`, over the previous table prev; two leaves cost 0.
 
     A tree against a leaf moves each child to a blank, at the child's norm,
     so its cost is a sum over exactly its children, with no padding.
     """
+    out = np.zeros(count)
     for cells, gather, d in leaves:
         costs = prev.take(gather).sum(axis=1)
-        yield cells, costs / d if mean else costs
+        out[cells] = costs / d if mean else costs
     for cells, gather, offs, s in transports:
         c = prev.take(gather)
         # a comprehension, not map(): cProfile misses builtins called from C
         perms = np.concatenate([linear_sum_assignment(m)[1] for m in c]).reshape(-1, s)
         costs = c.reshape(-1).take(offs + perms).sum(axis=1)
-        yield cells, costs / s if mean else costs
+        out[cells] = costs / s if mean else costs
+    return out
 
 
 def _batch_tables(pairs, cfg):
@@ -318,11 +339,8 @@ def _batch_tables(pairs, cfg):
     flattened and concatenated, with pair p's (n_a + 1, n_b + 1) table from
     starts[p]. Each cell's value is the one a batch of that pair alone gives.
     Raises ConfigError naming the first depth at which the table of any pair
-    in the batch overflows.
-
-    The blank is a leaf, so the norm row and column follow the leaf rule of
-    `_child_costs`: a tree's norm at depth k is its feature norm plus w(k-1)
-    times the (mode-scaled) sum of its children's depth-(k-1) norms.
+    in the batch overflows. The blank is a leaf, so the blank row and column
+    are the tree norms (see the leaf rule of `_child_costs`).
     """
     starts, ia, ib, core = _batch_layout(pairs)
     # depth 1: feature distances; a node against a blank costs its norm
@@ -333,18 +351,14 @@ def _batch_tables(pairs, cfg):
     if cfg.depth > 1:
         deg_a = np.concatenate([a.deg for a, _ in pairs])[ia]
         deg_b = np.concatenate([b.deg for _, b in pairs])[ib]
-        transports, leaves = _child_buckets(pairs, starts, ia, ib, deg_a, deg_b)
+        buckets = _child_buckets(*_child_index(pairs, starts), ia, ib, deg_a, deg_b)
 
     tables = [base]
     # overflow shows as inf and is reported by _check_finite
     with np.errstate(over="ignore"):
         _check_finite(base, 1, cfg)
         for k in range(2, cfg.depth + 1):
-            # two leaves cost 0
-            child = np.zeros(len(base))
-            for cells, costs in _child_costs(tables[-1], transports, leaves,
-                                             cfg.mode == "mean"):
-                child[cells] = costs
+            child = _child_costs(tables[-1], *buckets, len(base), cfg.mode == "mean")
             cur = base + cfg.schedule.weight(k - 1) * child
             _check_finite(cur, k, cfg)
             tables.append(cur)
@@ -416,22 +430,6 @@ def tree_norm(g, v, depth, cfg):
     return float(prepared_norm_levels(p, local)[-1][v])
 
 
-def _final_cost(last, na, nb, mean):
-    """Transport between the two root-tree multisets of the last table."""
-    s = max(na, nb)
-    if na == 0:
-        total = float(last[na, :nb].sum())
-    elif nb == 0:
-        total = float(last[:na, nb].sum())
-    else:
-        # indices past the smaller side stop at its blank row or column
-        pick = np.arange(s)
-        c = last[np.minimum(pick, na)[:, None], np.minimum(pick, nb)]
-        rows, cols = linear_sum_assignment(c)
-        total = float(c[rows, cols].sum())
-    return total / s if mean else total
-
-
 def tmd(ga, gb, cfg):
     """Tree mover's distance at cfg.depth between two attributed graphs.
 
@@ -478,12 +476,9 @@ def pair_distances(pairs, cfg):
     ConfigError naming the first depth at which any pair of the first
     overflowing batch overflows.
     """
-    mean = cfg.mode == "mean"
     out = []
     for batch in _batches([(b, a) if b.key < a.key else (a, b) for a, b in pairs]):
         tables, starts = _batch_tables(batch, cfg)
-        for (a, b), start in zip(batch, starts):
-            na, nb = a.node_count, b.node_count
-            last = tables[-1][start:start + (na + 1) * (nb + 1)].reshape(na + 1, nb + 1)
-            out.append(_final_cost(last, na, nb, mean) if na or nb else 0.0)
+        out += _child_costs(tables[-1], *_root_buckets(batch, starts), len(batch),
+                            cfg.mode == "mean").tolist()
     return out

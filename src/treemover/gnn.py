@@ -124,8 +124,8 @@ def make_gin(layers, readout, epsilon=1.0, aggregation="sum"):
             f"aggregation must be one of {_AGGREGATIONS}, got {aggregation!r}"
         )
     epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
     layers = tuple(_as_layer(*_layer_tuple(l)) for l in layers)
     readout = _as_layer(*_layer_tuple(readout))
     if readout.neighbor_weight is not None:
@@ -292,9 +292,10 @@ def lipschitz_check(model, ga, gb, cfg=None):
     _check_input(model, ga)
     _check_input(model, gb)
     a, b = prepare_graph(ga), prepare_graph(gb)
+    # the distance first: an overflowing schedule raises before the forward passes do
+    dist = prepared_tmd(a, b, cfg)
     lhs = float(np.linalg.norm(_forward(model, ga, (a.deg, a.pad))
                                - _forward(model, gb, (b.deg, b.pad))))
-    dist = prepared_tmd(a, b, cfg)
     rhs = model.lipschitz_product() * dist
     if rhs > 0:
         ratio = lhs / rhs

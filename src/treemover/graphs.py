@@ -385,6 +385,9 @@ def dataset_from_json(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("graphs"), list):
         raise DatasetFormatError("dataset JSON must have a 'graphs' list")
     graphs = [graph_from_json(go) for go in obj["graphs"]]
+    # an empty graph's JSON has no feature dimension: use the first non-empty one's
+    dim = next((g.feature_dim for g in graphs if g.node_count), 1)
+    graphs = [g if g.node_count else AttributedGraph(np.zeros((0, dim))) for g in graphs]
     try:
         return GraphDataset(tuple(graphs), obj.get("labels"), obj.get("name", ""))
     except (TypeError, ValueError) as exc:

@@ -1,13 +1,16 @@
 """Per-node reference loops that vectorized code is compared against.
 
-Each function is the plain loop the package used before its hot path was
-vectorized; tests require byte-equal results, because the vectorized code
-adds the same values in the same order.
+Each function is the plain loop, or the separate code path, the package used
+before its hot path was vectorized or merged into a shared one; tests
+require byte-equal results, because the new code adds the same values in
+the same order.
 """
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
+from treemover import build_distance_tables
+from treemover.graphs import graph_key
 from treemover.ot import _peel_flows
 
 
@@ -55,6 +58,36 @@ def reference_tree_widths(g, v, depth):
         counts = nxt
         widths.append(int(counts.sum()))
     return np.asarray(widths, dtype=np.int64)
+
+
+def reference_final_cost(last, na, nb, mean):
+    """The graph-level transport over the last (na + 1, nb + 1) table, solved
+    apart from the child transports: one assignment over the padded matrix
+    of the root trees, the blank row or column summed when a graph is empty,
+    and 0 for two empty graphs."""
+    if not (na or nb):
+        return 0.0
+    s = max(na, nb)
+    if na == 0:
+        total = float(last[na, :nb].sum())
+    elif nb == 0:
+        total = float(last[:na, nb].sum())
+    else:
+        # indices past the smaller side stop at its blank row or column
+        pick = np.arange(s)
+        c = last[np.minimum(pick, na)[:, None], np.minimum(pick, nb)]
+        rows, cols = linear_sum_assignment(c)
+        total = float(c[rows, cols].sum())
+    return total / s if mean else total
+
+
+def reference_tmd(ga, gb, cfg):
+    """`tmd` with its graph-level transport by `reference_final_cost` over
+    the last table of the pair in canonical order."""
+    if graph_key(gb) < graph_key(ga):
+        ga, gb = gb, ga
+    last = build_distance_tables(ga, gb, cfg)[-1].dist
+    return reference_final_cost(last, ga.node_count, gb.node_count, cfg.mode == "mean")
 
 
 def reference_solve_transport(c, a, b):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,17 @@ def test_dist_dataset_json_file(tmp_path):
     out = tmp_path / "m.csv"
     assert run_dist(path, out) == 0
     assert load_distance_csv(out).values.shape == (2, 2)
+
+
+def test_dist_dataset_json_file_with_an_empty_graph(tmp_path):
+    ds = GraphDataset((AttributedGraph(np.ones((2, 2)), [(0, 1)]),
+                       AttributedGraph(np.zeros((0, 2)), [])))
+    path = tmp_path / "ds.json"
+    save_dataset_json(path, ds)
+    out = tmp_path / "m.csv"
+    assert run_dist(path, out) == 0
+    # the empty graph's distance is the other graph's tree norms
+    assert load_distance_csv(out).values[0, 1] > 0.0
 
 
 # --- gram ---
@@ -434,6 +446,30 @@ def test_lipschitz_model_not_json_names_its_path(tmp_path, capsys):
                  "--graph-a", str(fixture_path("path3")),
                  "--graph-b", str(fixture_path("path3")), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {model}: invalid JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon, message", [
+    (float("inf"), "epsilon must be positive and finite, got inf"),
+    # finite, but the schedule's distances overflow before the forward passes run
+    (1e300, "tree distances overflow at depth 3 under schedule pascal:2,1e+300 (sum mode); "
+            "use a smaller depth or smaller weights"),
+])
+def test_lipschitz_epsilon_that_overflows_exits_3(tmp_path, capsys, epsilon, message):
+    model = tmp_path / "model.json"
+    save_model_json(model, random_gin(1, 3, 2, seed=1))
+    obj = json.loads(model.read_text())
+    obj["epsilon"] = epsilon
+    model.write_text(json.dumps(obj))
+    out = tmp_path / "l.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["lipschitz", "--model", str(model),
+                     "--graph-a", str(fixture_path("path3")),
+                     "--graph-b", str(fixture_path("star4")), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in seen] == []
     assert not out.exists()
 
 

@@ -21,6 +21,7 @@ from treemover.graphs import graph_key
 from treemover.ot import _padded_matrix
 
 from conftest import load_fixture
+from references import reference_tmd
 
 W1 = constant_weights(1.0)
 
@@ -541,7 +542,8 @@ def test_child_buckets_hold_every_eligible_pair_once():
     deg_a = np.concatenate([a.deg for a, _ in batch])[ia]
     deg_b = np.concatenate([b.deg for _, b in batch])[ib]
     seen = {}
-    transports, leaves = distance_module._child_buckets(batch, starts, ia, ib, deg_a, deg_b)
+    transports, leaves = distance_module._child_buckets(
+        *distance_module._child_index(batch, starts), ia, ib, deg_a, deg_b)
     for cells, gather, offs, s in transports:
         assert gather.shape == (len(cells), s, s)
         assert offs.shape == (len(cells), s)
@@ -587,6 +589,61 @@ def test_child_buckets_hold_every_eligible_pair_once():
     assert seen == want
     # graphs narrower than the batch's widest neighbour list take the widen path
     assert len({g.pad.shape[1] for pair in batch for g in pair}) > 1
+
+
+def _with_two_empty_graphs(graphs, batch):
+    """The differential batch plus a pair of two empty graphs."""
+    empty = AttributedGraph(np.zeros((0, 3)), [])
+    blank = distance_module.prepare_graph(empty)
+    return graphs + [(empty, empty)], batch + [(blank, blank)]
+
+
+def test_root_buckets_hold_one_cell_per_pair():
+    graphs, batch = _with_two_empty_graphs(*_differential_batch())
+    c = TmdConfig(2, pascal_weights(4), "sum")
+    tables, starts = distance_module._batch_tables(batch, c)
+    transports, leaves = distance_module._root_buckets(batch, starts)
+    lasts = [tables[-1][lo:lo + (a.node_count + 1) * (b.node_count + 1)]
+             .reshape(a.node_count + 1, b.node_count + 1) for (a, b), lo in zip(graphs, starts)]
+    seen = {}
+    # two non-empty graphs: a transport of size max(n_a, n_b) over the root
+    # trees, padded with the blank row or column of the last table
+    for cells, gather, offs, s in transports:
+        assert gather.shape == (len(cells), s, s)
+        for q, p in enumerate(cells.tolist()):
+            assert p not in seen
+            seen[p] = s
+            na, nb = lasts[p].shape[0] - 1, lasts[p].shape[1] - 1
+            pick = np.arange(s)
+            want = lasts[p][np.minimum(pick, na)[:, None], np.minimum(pick, nb)]
+            assert tables[-1].take(gather[q]).tobytes() == want.tobytes()
+            assert offs[q].tolist() == [q * s * s + i * s for i in range(s)]
+    # one empty graph: the leaf rule, the other graph's blank column or row
+    for cells, gather, d in leaves:
+        assert cells.tolist() == sorted(cells.tolist())
+        for q, p in enumerate(cells.tolist()):
+            assert p not in seen
+            seen[p] = -d
+            na, nb = lasts[p].shape[0] - 1, lasts[p].shape[1] - 1
+            want = lasts[p][:na, nb] if na else lasts[p][na, :nb]
+            assert tables[-1].take(gather[q]).tobytes() == want.tobytes()
+    # two empty graphs: no cell, so the value is 0
+    want = {p: max(a.node_count, b.node_count) if a.node_count and b.node_count
+            else -(a.node_count + b.node_count)
+            for p, (a, b) in enumerate(graphs) if a.node_count or b.node_count}
+    assert seen == want
+    assert len(want) == len(graphs) - 1 and min(want.values()) < 0
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_pair_distances_bitwise_equal_final_cost_reference(mode):
+    graphs, batch = _with_two_empty_graphs(*_differential_batch())
+    for schedule in (constant_weights(0.7), pascal_weights(4)):
+        for depth in (1, 2, 4):
+            c = TmdConfig(depth, schedule, mode)
+            got = np.array(distance_module.pair_distances(batch, c))
+            want = np.array([reference_tmd(a, b, c) for a, b in graphs])
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["sum", "mean"])

@@ -125,9 +125,10 @@ def test_make_gin_validation():
     with pytest.raises(ConfigError):
         make_gin([GinLayer(eye2, np.zeros(2))], readout=GinLayer(eye2, np.zeros(2)),
                  aggregation="max")
-    with pytest.raises(ConfigError):
-        make_gin([GinLayer(eye2, np.zeros(2))], readout=GinLayer(eye2, np.zeros(2)),
-                 epsilon=0.0)
+    for epsilon in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            make_gin([GinLayer(eye2, np.zeros(2))], readout=GinLayer(eye2, np.zeros(2)),
+                     epsilon=epsilon)
     # layer 2 input must match layer 1 output
     with pytest.raises(ValueError):
         make_gin([(np.ones((3, 2)), np.zeros(3)), (np.ones((2, 2)), np.zeros(2))],

@@ -7,9 +7,9 @@ import pytest
 
 from treemover import (AttributedGraph, GraphDataset, dataset_from_json,
                        dataset_to_json, drop_edge, drop_node, graph_from_json,
-                       graph_to_json, load_graph_json, permute_nodes,
-                       perturb_feature, random_graph, save_graph_json,
-                       standardize_datasets)
+                       graph_to_json, load_dataset_json, load_graph_json,
+                       permute_nodes, perturb_feature, random_graph, save_dataset_json,
+                       save_graph_json, standardize_datasets)
 
 from conftest import load_fixture
 
@@ -157,6 +157,20 @@ def test_dataset_validation_and_json_roundtrip():
         GraphDataset((g1, random_graph(3, 0.5, 5, seed=3)))
     with pytest.raises(ValueError):
         GraphDataset((g1, g2), (0,))
+
+
+def test_dataset_json_roundtrip_keeps_empty_graphs(tmp_path):
+    # an empty graph's JSON has no feature rows, so it takes the dimension
+    # of the first non-empty graph, wherever that sits
+    empty = AttributedGraph(np.zeros((0, 2)), [])
+    full = AttributedGraph(np.ones((2, 2)), [(0, 1)])
+    for graphs in ((full, empty), (empty, full, empty)):
+        ds = GraphDataset(graphs)
+        path = tmp_path / "ds.json"
+        save_dataset_json(path, ds)
+        assert load_dataset_json(path) == ds
+    only = dataset_from_json(dataset_to_json(GraphDataset((empty,))))
+    assert only.graphs[0].node_count == 0
 
 
 def test_standardize_joint_stats():

@@ -4,7 +4,8 @@ Graphs have at most 12 nodes, so degrees reach 11, and features drawn from
 {-1, 0, 0.5, 1}, so neighbour rows tie often. The vectorized GIN forward
 pass and tree widths must equal their per-node reference loops bitwise, the
 forward pass must be bitwise invariant to node relabelling, and a pair's
-distance must not depend on the other pairs of its batch. Every edit bound
+distance must not depend on the other pairs of its batch and must equal the
+graph-level transport solved apart over its last table. Every edit bound
 covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
 two sides are bitwise `tmd` and the GIN displacement; and `tmd` agrees with
 the naive recursive evaluator on graphs of at most 10 nodes, at depth at
@@ -46,7 +47,7 @@ from treemover import cli
 from treemover.distance import pair_distances, prepare_graph
 from treemover.wl import refine_classes
 
-from references import reference_gin_forward, reference_tree_widths
+from references import reference_gin_forward, reference_tmd, reference_tree_widths
 from test_tudataset import write_dataset
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
@@ -124,6 +125,20 @@ def configs(draw, max_depth=4):
     """Depth at most 4, so the pascal:4 schedule has every w(L) a bound needs."""
     return TmdConfig(draw(st.integers(1, max_depth)), draw(st.sampled_from(SCHEDULES)),
                      draw(st.sampled_from(["sum", "mean"])))
+
+
+@ZERO_ROWS
+@PROPERTY
+@given(st.data())
+def test_pair_distances_equal_the_final_cost_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    pairs = data.draw(st.lists(st.tuples(graphs(dim=dim), graphs(dim=dim)),
+                               min_size=1, max_size=4))
+    pairs += [(b, a) for a, b in pairs]
+    c = data.draw(configs())
+    got = pair_distances([(prepare_graph(a), prepare_graph(b)) for a, b in pairs], c)
+    want = [reference_tmd(a, b, c) for a, b in pairs]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @ZERO_ROWS
