@@ -22,6 +22,7 @@ from .distance import pair_distances, prepare_graph, warn_zero_features
 from .graphs import GraphDataset, check_feature_dims, graph_key
 from .matrix import DistanceMatrix
 from .ot import solve_transport
+from .schedule import ConfigError
 
 _WORKER = None
 
@@ -128,8 +129,10 @@ def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
     together, so a report forks at most one worker pool; each test set's W1
     is bitwise `dataset_w1(train, test)`. When a Lipschitz product K is
     supplied, each entry also carries the generalisation-gap term 2 * K * W1.
-    Entries are sorted by increasing W1.
+    Entries are sorted by increasing W1. K must be finite and >= 0.
     """
+    if lipschitz_product is not None and not 0 <= lipschitz_product < np.inf:
+        raise ConfigError(f"Lipschitz product must be finite and >= 0, got {lipschitz_product}")
     for ds in tests:
         _check_w1_inputs(train, ds)
     entries = []
@@ -142,6 +145,8 @@ def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
             entry = {"test": ds.name, "w1": w1}
             if lipschitz_product is not None:
                 entry["risk_gap"] = 2.0 * float(lipschitz_product) * w1
+                if entry["risk_gap"] == np.inf:
+                    raise ConfigError(f"risk gap 2 * K * W1 overflows for test set {ds.name!r}")
             entries.append(entry)
     entries.sort(key=lambda e: (e["w1"], e["test"]))
     report = {"train": train.name, "config": cfg.to_json(), "entries": entries}

@@ -40,7 +40,8 @@ import sys
 import numpy as np
 
 from .graphs import (DatasetFormatError, GraphDataset, load_dataset_json,
-                     load_graph_json, read_rows, standardize_datasets, write_json)
+                     load_graph_json, read_rows, standardize_datasets, with_empty_dims,
+                     write_json)
 from .learn import kmedoids, loo_knn_accuracy, majority_rate, nmi, completeness_score
 from .matrix import DistanceMatrix, gram_matrix, load_distance_csv, save_distance_csv
 from .schedule import ConfigError, TmdConfig, constant_weights, pascal_weights
@@ -97,7 +98,7 @@ def load_dataset(path, name=None):
         files = sorted(glob.glob(os.path.join(path, "*.json")))
         if not files:
             raise FileNotFoundError(f"no .json graphs in {path}")
-        graphs = tuple(load_graph_json(f) for f in files)
+        graphs = with_empty_dims([load_graph_json(f) for f in files])
         for f, g in zip(files, graphs):
             if g.feature_dim != graphs[0].feature_dim:
                 raise DatasetFormatError(f"{f}: feature dimension {g.feature_dim}, "

@@ -22,7 +22,8 @@ import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
 from .graphs import DatasetFormatError, degree_buckets, load_json, neighbor_index, write_json
-from .schedule import ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled
+from .schedule import (ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled,
+                       positive_finite)
 
 
 def spectral_norm(w):
@@ -123,9 +124,7 @@ def make_gin(layers, readout, epsilon=1.0, aggregation="sum"):
         raise ConfigError(
             f"aggregation must be one of {_AGGREGATIONS}, got {aggregation!r}"
         )
-    epsilon = float(epsilon)
-    if not 0 < epsilon < np.inf:
-        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = positive_finite("epsilon", epsilon)
     layers = tuple(_as_layer(*_layer_tuple(l)) for l in layers)
     readout = _as_layer(*_layer_tuple(readout))
     if readout.neighbor_weight is not None:
@@ -175,34 +174,19 @@ def random_gin(feature_dim, hidden_dim, num_layers, seed, aggregation="sum",
     return make_gin(layers, readout, epsilon=epsilon, aggregation=aggregation)
 
 
-def _sorted_rows(rows):
-    """Rows in lexicographic order, making multiset sums order-canonical."""
-    if rows.shape[0] < 2:
-        return rows
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
+def _canonical_sums(rows):
+    """Sum of each of the P multisets of d rows in rows, shape (P, d, h).
 
-
-def _neighbor_sums(z, buckets, mean):
-    """Per-node sum (mean) of the neighbours' rows of z, in sorted row order.
-
-    Each degree bucket gathers its (P, d, h) neighbour rows, sorts every
-    node's rows lexicographically with one stable lexsort whose primary key
-    is the node, and sums over the d rows: the same rows added in the same
-    order as `_sorted_rows(z[nbrs]).sum(axis=0)` per node, never over
-    zero-padded rows.
+    One stable lexsort whose primary key is the multiset orders every
+    multiset's rows lexicographically, so each sum adds the same rows in the
+    same order whatever order they came in.
     """
-    agg = np.zeros_like(z)
-    for nodes, nbrs, d in buckets:
-        rows = z[nbrs]
-        if d > 1:
-            flat = rows.reshape(-1, z.shape[1])
-            owner = np.repeat(np.arange(len(nodes)), d)
-            order = np.lexsort((*flat.T[::-1], owner))
-            rows = flat[order].reshape(rows.shape)
-        total = rows.sum(axis=1)
-        agg[nodes] = total / d if mean else total
-    return agg
+    p, d, h = rows.shape
+    if d > 1:
+        flat = rows.reshape(-1, h)
+        owner = np.repeat(np.arange(p), d)
+        rows = flat[np.lexsort((*flat.T[::-1], owner))].reshape(rows.shape)
+    return rows.sum(axis=1)
 
 
 def gin_forward(model, g):
@@ -230,18 +214,18 @@ def _forward(model, g, index):
     buckets = degree_buckets(*index)
     z = g.features
     for layer in model.layers:
-        agg = _neighbor_sums(z, buckets, mean)
+        agg = np.zeros_like(z)
+        for nodes, nbrs, d in buckets:
+            total = _canonical_sums(z[nbrs])
+            agg[nodes] = total / d if mean else total
         if layer.neighbor_weight is not None:
             pre = z + agg @ layer.neighbor_weight.T
         else:
             pre = z + model.epsilon * agg
         z = np.maximum(pre @ layer.weight.T + layer.bias, 0.0)
-    if g.node_count:
-        pooled = _sorted_rows(z).sum(axis=0)
-        if mean:
-            pooled = pooled / g.node_count
-    else:
-        pooled = np.zeros(model.readout.weight.shape[1])
+    pooled = _canonical_sums(z[None])[0]
+    if mean and g.node_count:
+        pooled = pooled / g.node_count
     return pooled @ model.readout.weight.T + model.readout.bias
 
 

@@ -293,6 +293,13 @@ def graph_from_json(obj, feature_dim=1):
         raise DatasetFormatError(f"bad graph JSON: {exc}") from exc
 
 
+def with_empty_dims(graphs):
+    """graphs as a tuple, each empty graph given the feature dimension of the
+    first non-empty one: an empty graph's JSON holds no feature dimension."""
+    dim = next((g.feature_dim for g in graphs if g.node_count), 1)
+    return tuple(g if g.node_count else AttributedGraph(np.zeros((0, dim))) for g in graphs)
+
+
 def load_json(path, parse):
     """parse(value) for the JSON value in the file at path.
 
@@ -384,12 +391,9 @@ def dataset_to_json(ds):
 def dataset_from_json(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("graphs"), list):
         raise DatasetFormatError("dataset JSON must have a 'graphs' list")
-    graphs = [graph_from_json(go) for go in obj["graphs"]]
-    # an empty graph's JSON has no feature dimension: use the first non-empty one's
-    dim = next((g.feature_dim for g in graphs if g.node_count), 1)
-    graphs = [g if g.node_count else AttributedGraph(np.zeros((0, dim))) for g in graphs]
+    graphs = with_empty_dims([graph_from_json(go) for go in obj["graphs"]])
     try:
-        return GraphDataset(tuple(graphs), obj.get("labels"), obj.get("name", ""))
+        return GraphDataset(graphs, obj.get("labels"), obj.get("name", ""))
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad dataset JSON: {exc}") from exc
 

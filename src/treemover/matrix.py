@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DatasetFormatError, read_rows
-from .schedule import TmdConfig
+from .schedule import TmdConfig, positive_finite
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,11 @@ def gram_matrix(dm, gamma):
         dm = DistanceMatrix(np.asarray(dm),
                             [str(i) for i in range(np.asarray(dm).shape[0])],
                             [str(i) for i in range(np.asarray(dm).shape[1])])
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma = positive_finite("gamma", gamma)
     if dm.values.shape[0] != dm.values.shape[1]:
         raise ValueError(f"need a square matrix, got shape {dm.values.shape}")
-    return np.exp(-gamma * dm.values)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
+        return np.exp(-gamma * dm.values)
 
 
 def save_distance_csv(path, dm, extra=None):

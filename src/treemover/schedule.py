@@ -9,11 +9,19 @@ w(1) .. w(L-1) and the perturbation bounds at depth L consult w(1) .. w(L).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 
 class ConfigError(ValueError):
     """Raised for invalid configuration (schedules, depths, modes)."""
+
+
+def positive_finite(name, x):
+    """x as a float; ConfigError naming `name` unless 0 < x < inf."""
+    x = float(x)
+    if not 0 < x < inf:
+        raise ConfigError(f"{name} must be positive and finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -72,22 +80,20 @@ class WeightSchedule:
 
 def constant_weights(c):
     """w(l) = c for every level."""
-    c = float(c)
-    if not c > 0:
-        raise ConfigError(f"constant weight must be positive, got {c}")
-    return WeightSchedule(kind="constant", constant=c)
+    return WeightSchedule(kind="constant", constant=positive_finite("constant weight", c))
 
 
 def _pascal_table(depth, scales):
     """w(1)..w(depth) with w(l) = s_l * C(depth, l-1) / C(depth, l).
 
     Raises ConfigError for a depth that is not an integer >= 1; scales then
-    maps the depth to its checked per-level scales s_1..s_depth.
+    maps the depth to its checked per-level scales s_1..s_depth. Each weight
+    is checked too: a finite scale times the ratio can overflow or underflow.
     """
     if int(depth) != depth or depth < 1:
         raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
     depth = int(depth)
-    return tuple(s * comb(depth, l - 1) / comb(depth, l)
+    return tuple(positive_finite(f"w({l})", s * comb(depth, l - 1) / comb(depth, l))
                  for l, s in enumerate(scales(depth), start=1))
 
 
@@ -101,9 +107,7 @@ def pascal_weights(depth, epsilon=1.0):
     epsilon = float(epsilon)
 
     def checked(depth):
-        if not epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {epsilon}")
-        return [epsilon] * depth
+        return [positive_finite("epsilon", epsilon)] * depth
 
     return WeightSchedule(kind="pascal", epsilon=epsilon, table=_pascal_table(depth, checked))
 
@@ -115,11 +119,9 @@ def pascal_weights_scaled(depth, scales):
     has its own contraction factor.
     """
     def checked(depth):
-        values = [float(s) for s in scales]
+        values = [positive_finite("scale", s) for s in scales]
         if len(values) != depth:
             raise ConfigError(f"need {depth} scales, got {len(values)}")
-        if any(not s > 0 for s in values):
-            raise ConfigError("scales must be positive")
         return values
 
     return WeightSchedule(kind="pascal_scaled", table=_pascal_table(depth, checked))

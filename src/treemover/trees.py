@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import check_feature_dims, neighbor_index
+from .schedule import ConfigError
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,16 @@ def tree_widths(g, v, depth):
 
 def padded_tree_widths(pad, v, depth):
     """`tree_widths` from the n blank-padded neighbour rows of
-    `graphs.neighbor_index`, without argument checks."""
+    `graphs.neighbor_index`, without argument checks; ConfigError names the
+    first depth whose width (a Python-int sum of exact counts) passes int64."""
     counts = np.zeros(len(pad) + 1, dtype=np.int64)
     counts[v] = 1
     widths = [1]
-    for _ in range(depth - 1):
+    for level in range(2, depth + 1):
         counts[:-1] = counts[pad].sum(axis=1)
-        widths.append(int(counts.sum()))
+        widths.append(sum(counts.tolist()))
+        if widths[-1] > np.iinfo(np.int64).max:
+            raise ConfigError(f"tree widths overflow int64 at depth {level}; use a smaller depth")
     return np.asarray(widths, dtype=np.int64)
 
 

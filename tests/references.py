@@ -45,18 +45,14 @@ def reference_gin_forward(model, g):
 
 
 def reference_tree_widths(g, v, depth):
-    """`tree_widths` by scalar adds over every node's neighbour list."""
-    n = g.node_count
-    counts = np.zeros(n, dtype=np.int64)
+    """`tree_widths` by exact Python-int adds over every node's neighbour
+    list; converting to int64 raises OverflowError for a width past int64."""
+    counts = [0] * g.node_count
     counts[v] = 1
     widths = [1]
     for _ in range(int(depth) - 1):
-        nxt = np.zeros(n, dtype=np.int64)
-        for u in range(n):
-            for x in g.neighbors[u]:
-                nxt[u] += counts[x]
-        counts = nxt
-        widths.append(int(counts.sum()))
+        counts = [sum(counts[x] for x in g.neighbors[u]) for u in range(g.node_count)]
+        widths.append(sum(counts))
     return np.asarray(widths, dtype=np.int64)
 
 

@@ -12,6 +12,7 @@ import pytest
 import treemover.analysis as analysis_module
 from treemover import (
     AttributedGraph,
+    ConfigError,
     DatasetFormatError,
     DistanceMatrix,
     GraphDataset,
@@ -227,8 +228,9 @@ def test_gram_validation():
     with pytest.raises(ValueError):
         gram_matrix(dm, 1.0)
     square = DistanceMatrix(np.zeros((2, 2)), "ab", "ab")
-    with pytest.raises(ValueError):
-        gram_matrix(square, 0.0)
+    for gamma in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="^gamma must be positive and finite, got "):
+            gram_matrix(square, gamma)
 
 
 # --- CSV persistence ---
@@ -400,6 +402,24 @@ def test_shift_report_sorted_and_gap_scaled():
     for e in rep["entries"]:
         assert e["risk_gap"] == pytest.approx(6.0 * e["w1"], rel=1e-12)
     assert rep["config"] == CFG.to_json()
+
+
+@pytest.mark.parametrize("product", [float("inf"), float("nan"), -1.0])
+def test_shift_report_rejects_a_product_that_is_not_finite_and_non_negative(product):
+    train = make_dataset(2, seed=25, name="train")
+    with pytest.raises(ConfigError, match="^Lipschitz product must be finite and >= 0, got "):
+        shift_report(train, [make_dataset(2, seed=26, name="t")], CFG,
+                     lipschitz_product=product)
+
+
+def test_shift_report_zero_product_and_overflowing_gap():
+    train = make_dataset(2, seed=25, name="train")
+    tests = [make_dataset(2, seed=26, name="t")]
+    rep = shift_report(train, tests, CFG, lipschitz_product=0)
+    assert rep["lipschitz_product"] == 0.0 and rep["entries"][0]["risk_gap"] == 0.0
+    assert rep["entries"][0]["w1"] > 0.5
+    with pytest.raises(ConfigError, match=r"^risk gap 2 \* K \* W1 overflows for test set 't'$"):
+        shift_report(train, tests, CFG, lipschitz_product=1e308)
 
 
 def test_shift_report_without_lipschitz():

@@ -23,7 +23,7 @@ from treemover import (
 import treemover.cli as cli_module
 from treemover.cli import main, parse_weights
 
-from conftest import fixture_path
+from conftest import fixture_path, molecule18
 from test_tudataset import write_dataset
 
 
@@ -165,6 +165,20 @@ def test_dist_dataset_json_file_with_an_empty_graph(tmp_path):
     assert load_distance_csv(out).values[0, 1] > 0.0
 
 
+def test_dist_directory_with_an_empty_graph(tmp_path):
+    graphs = (AttributedGraph(np.ones((2, 3)), [(0, 1)]), AttributedGraph(np.zeros((0, 3)), []),
+              AttributedGraph(np.arange(9.0).reshape(3, 3), [(0, 2)]))
+    d = tmp_path / "graphs"
+    d.mkdir()
+    for name, g in zip("abc", graphs):
+        save_graph_json(d / f"{name}.json", g)
+    save_dataset_json(tmp_path / "ds.json", GraphDataset(graphs))
+    assert run_dist(d, tmp_path / "dir.csv") == 0
+    assert run_dist(tmp_path / "ds.json", tmp_path / "ds.csv") == 0
+    assert ((tmp_path / "dir.csv").read_text().splitlines()[1:]
+            == (tmp_path / "ds.csv").read_text().splitlines()[1:])
+
+
 # --- gram ---
 
 
@@ -180,6 +194,21 @@ def test_gram_command(two_cluster_dir, tmp_path):
     assert np.allclose(km.values, np.exp(-0.5 * dm.values), rtol=1e-12)
     assert np.all(np.diag(km.values) == 1.0)
     assert '"gamma":0.5' in out.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("gamma", ["1e300", "1e308"])
+def test_gram_gamma_large_but_finite(two_cluster_dir, tmp_path, gamma):
+    d, _ = two_cluster_dir
+    mat = tmp_path / "m.csv"
+    run_dist(d, mat)
+    out = tmp_path / "k.csv"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["gram", "--matrix", str(mat), "--gamma", gamma, "--out", str(out)]) == 0
+    assert [str(w.message) for w in seen] == []
+    km = load_distance_csv(out).values
+    # exp(-gamma * D) underflows to 0 off the diagonal: the exact limit
+    assert np.array_equal(km, np.eye(len(km)))
 
 
 def test_gram_requires_square(tmp_path):
@@ -301,6 +330,24 @@ def test_shift_self_reports_zero(two_cluster_dir, tmp_path):
     assert entry["w1"] == 0.0
     assert entry["risk_gap"] == 0.0
     assert rep["lipschitz_product"] == 2.0
+
+
+@pytest.mark.parametrize("product", ["0", "3.0"])
+def test_shift_lipschitz_product_scales_the_gap(tmp_path, product):
+    train = GraphDataset([random_graph(4, 0.5, 1, s) for s in range(3)], name="train")
+    test = GraphDataset([random_graph(5, 0.5, 1, s) for s in range(3, 5)], name="test")
+    save_dataset_json(tmp_path / "train.json", train)
+    save_dataset_json(tmp_path / "test.json", test)
+    out = tmp_path / "s.json"
+    assert main(["shift", "--train", str(tmp_path / "train.json"),
+                 "--test", str(tmp_path / "test.json"), "--depth", "2",
+                 "--weights", "constant:1.0", "--threads", "1",
+                 "--lipschitz-product", product, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    (entry,) = rep["entries"]
+    assert entry["w1"] > 0.0
+    assert entry["risk_gap"] == 2.0 * float(product) * entry["w1"]
+    assert rep["lipschitz_product"] == float(product)
 
 
 def test_shift_multiple_tests_sorted(tmp_path):
@@ -752,6 +799,40 @@ def test_exit_norm_overflow_in_a_batch(tmp_path, capsys):
         assert not out.exists()
     assert "tree distances overflow at depth " in errors[0]
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "--data", "GRAPHS", "--depth", "2", "--weights", "constant:inf"],
+     "bad weights 'constant:inf': constant weight must be positive and finite, got inf"),
+    (["dist", "--data", "GRAPHS", "--depth", "2", "--weights", "pascal:4,inf"],
+     "bad weights 'pascal:4,inf': epsilon must be positive and finite, got inf"),
+    (["gram", "--matrix", "MATRIX", "--gamma", "inf"],
+     "gamma must be positive and finite, got inf"),
+    *[(["shift", "--train", "GRAPHS", "--test", "GRAPHS", "--depth", "2",
+        "--weights", "constant:1.0", "--lipschitz-product", k],
+       f"Lipschitz product must be finite and >= 0, got {float(k)}")
+      for k in ("inf", "nan", "-1")],
+    (["perturb", "--graph", "MOLECULE", "--drop-node", "1", "--depth", "60",
+      "--weights", "constant:0.5"],
+     "tree widths overflow int64 at depth 46; use a smaller depth"),
+], ids=["constant", "pascal", "gamma", "product-inf", "product-nan", "product-neg",
+        "widths"])
+def test_exit_parameter_out_of_range(two_cluster_dir, tmp_path, capsys, argv, message):
+    d, _ = two_cluster_dir
+    mat = tmp_path / "m.csv"
+    run_dist(d, mat)
+    molecule = tmp_path / "molecule.json"
+    save_graph_json(molecule, molecule18())
+    paths = {"GRAPHS": str(d), "MATRIX": str(mat), "MOLECULE": str(molecule)}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main([paths.get(a, a) for a in argv] + ["--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in seen] == []
+    assert not out.exists()
 
 
 def test_exit_config_errors(two_cluster_dir, tmp_path):

@@ -20,7 +20,9 @@ not depend on the other graphs refined with them.
 
 Mutated input files (graph, dataset and model JSON, and the text layout)
 never make `cli.main` raise: it exits 0, 2 or 3, and an exit of 2 names the
-file at fault.
+file at fault. Out-of-range option values (0, -1, the smallest and largest
+floats, inf, NaN) end in a one-line error or an output its reader loads
+back, with no numpy warning.
 
 Features of 0 make all-zero rows common, so the distance's warning about
 them is silenced where a test computes one.
@@ -30,6 +32,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -37,16 +40,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treemover import (AttributedGraph, GraphDataset, TmdConfig, computation_tree,
-                       constant_weights, drop_edge, drop_node, edge_drop_bound, gin_forward,
-                       lipschitz_check, matching_config, model_to_json, naive_tmd,
-                       naive_tree_distance, node_drop_bound, node_perturbation_bound,
-                       pairwise_tmd, pascal_weights, permute_nodes, perturb_feature,
-                       random_gin, tmd, tree_widths)
+from treemover import (AttributedGraph, DistanceMatrix, GraphDataset, TmdConfig,
+                       computation_tree, constant_weights, drop_edge, drop_node,
+                       edge_drop_bound, gin_forward, lipschitz_check, load_distance_csv,
+                       matching_config, model_to_json, naive_tmd, naive_tree_distance,
+                       node_drop_bound, node_perturbation_bound, pairwise_tmd,
+                       pascal_weights, permute_nodes, perturb_feature, random_gin,
+                       random_graph, save_dataset_json, save_distance_csv, tmd,
+                       tree_widths)
 from treemover import cli
 from treemover.distance import pair_distances, prepare_graph
 from treemover.wl import refine_classes
 
+from conftest import FIXTURES
 from references import reference_gin_forward, reference_tmd, reference_tree_widths
 from test_tudataset import write_dataset
 
@@ -370,3 +376,65 @@ def test_mutated_text_layout(tmp_path, part, data):
     # graph id puts an edge out of range), so the error names some file of
     # the layout
     check_exit(code, err, f"{tmp_path / 'toy_'}")
+
+
+# --- out-of-range option values ---
+
+OPTION_VALUES = (0, -1, 5e-324, 1e308, float("inf"), float("nan"))
+
+
+def strict_json(text):
+    """The JSON value of text; the non-standard Infinity and NaN fail."""
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def option_run(tmp_path, option, x, depth):
+    """(argv, output path) of a run that sets `option` to x and --depth to depth."""
+    config = ["--depth", depth, "--threads", "1"]
+    if option in ("constant", "pascal"):
+        weights = f"constant:{x!r}" if option == "constant" else f"pascal:3,{x!r}"
+        out = tmp_path / "m.csv"
+        return ["dist", "--data", FIXTURES, *config, "--weights", weights], out
+    if option == "gamma":
+        matrix = tmp_path / "d.csv"
+        save_distance_csv(matrix, DistanceMatrix(
+            np.array([[0.0, 1.5, 40.0], [1.5, 0.0, 3.0], [40.0, 3.0, 0.0]]), "abc", "abc"))
+        return ["gram", "--matrix", matrix, "--gamma", repr(x)], tmp_path / "k.csv"
+    out = tmp_path / "r.json"
+    if option == "lipschitz":
+        test = tmp_path / "test.json"
+        save_dataset_json(test, GraphDataset([random_graph(4, 0.5, 1, s) for s in range(2)]))
+        return ["shift", "--train", FIXTURES, "--test", test, *config,
+                "--weights", "constant:0.5", "--lipschitz-product", repr(x)], out
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**model_to_json(random_gin(1, 3, 2, seed=1)), "epsilon": x}))
+    return ["lipschitz", "--model", model, "--graph-a", FIXTURES / "path3.json",
+            "--graph-b", FIXTURES / "star4.json"], out
+
+
+# --depth stays in -1..3 because run time grows linearly with depth, while
+# on the fixture graphs, whose adjacency spectral radii are at most 2, tree
+# norms under constant:0.5 grow at most linearly and never overflow. The deep
+# exits, distance and tree-width overflow, have their own tests in test_cli.py.
+@settings(FUZZ, max_examples=100)
+@given(st.sampled_from(["constant", "pascal", "gamma", "lipschitz", "epsilon"]),
+       st.sampled_from(OPTION_VALUES), st.integers(-1, 3))
+def test_option_values_end_in_a_documented_exit(tmp_path, option, x, depth):
+    argv, out = option_run(tmp_path, option, x, depth)
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, err = run_cli([*argv, "--out", out])
+    assert [str(w.message) for w in seen] == []
+    assert code in (0, 1, 2, 3), err
+    if code == 0:
+        if out.suffix == ".csv":
+            assert np.all(np.isfinite(load_distance_csv(out).values))
+        else:
+            strict_json(out.read_text())
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+

@@ -4,6 +4,19 @@ import pytest
 
 from treemover import (ConfigError, TmdConfig, WeightSchedule, constant_weights,
                        pascal_weights, pascal_weights_scaled)
+from treemover.schedule import positive_finite
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, float("inf"), float("nan")])
+def test_positive_finite_rejects(x):
+    with pytest.raises(ConfigError, match=f"^gamma must be positive and finite, got {x}$"):
+        positive_finite("gamma", x)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e308, 2])
+def test_positive_finite_accepts(x):
+    assert positive_finite("gamma", x) == x
+    assert type(positive_finite("gamma", x)) is float
 
 
 def test_constant_weights():
@@ -14,6 +27,9 @@ def test_constant_weights():
         constant_weights(0.0)
     with pytest.raises(ConfigError):
         constant_weights(-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="constant weight must be positive and finite"):
+            constant_weights(bad)
 
 
 def test_pascal_values_depth4():
@@ -46,6 +62,15 @@ def test_pascal_rejects_bad_args():
         pascal_weights(0)
     with pytest.raises(ConfigError):
         pascal_weights(3, 0.0)
+    with pytest.raises(ConfigError, match=r"^epsilon must be positive and finite, got inf$"):
+        pascal_weights(3, float("inf"))
+    # a finite epsilon whose weights overflow or underflow
+    with pytest.raises(ConfigError, match=r"^w\(2\) must be positive and finite, got inf$"):
+        pascal_weights(2, 1e308)
+    with pytest.raises(ConfigError, match=r"^w\(1\) must be positive and finite, got 0.0$"):
+        pascal_weights(4, 5e-324)
+    assert pascal_weights(1, 1e308).weight(1) == 1e308
+    assert pascal_weights(1, 5e-324).weight(1) == 5e-324
 
 
 def test_pascal_out_of_range_level_errors():
@@ -65,6 +90,8 @@ def test_pascal_scaled_matches_plain_for_uniform_scales():
         pascal_weights_scaled(3, [1.0, 1.0])
     with pytest.raises(ConfigError):
         pascal_weights_scaled(2, [1.0, 0.0])
+    with pytest.raises(ConfigError, match="^scale must be positive and finite, got inf$"):
+        pascal_weights_scaled(2, [1.0, float("inf")])
 
 
 def test_config_validation():

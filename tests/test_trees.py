@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from treemover import (AttributedGraph, TmdConfig, blank_tree, computation_tree,
+from treemover import (AttributedGraph, ConfigError, TmdConfig, blank_tree, computation_tree,
                        constant_weights, naive_tree_distance, random_graph,
                        tree_norm, tree_width, tree_widths)
 from treemover.trees import _bitmask_assignment
 
-from conftest import load_fixture
+from conftest import load_fixture, molecule18
 from references import reference_tree_widths
 
 CFG = lambda L, mode="sum": TmdConfig(L, constant_weights(1.0), mode)
@@ -62,6 +62,20 @@ def test_tree_widths_bitwise_equal_per_node_loop():
                 got = tree_widths(g, v, depth)
                 want = reference_tree_widths(g, v, depth)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_widths_exact_up_to_int64_then_an_error_names_the_depth():
+    g = molecule18()
+    for v in range(g.node_count):
+        want = reference_tree_widths(g, v, 45)
+        got = tree_widths(g, v, 45)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(OverflowError):
+        reference_tree_widths(g, 1, 46)
+    with pytest.raises(ConfigError, match=r"^tree widths overflow int64 at depth 46; "):
+        tree_widths(g, 1, 46)
+    with pytest.raises(ConfigError, match=r"^tree widths overflow int64 at depth 46; "):
+        tree_widths(g, 1, 60)
 
 
 def test_widths_match_materialised_tree():
