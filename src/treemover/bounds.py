@@ -74,10 +74,6 @@ def lambda_coefficients(schedule, depth):
     return np.asarray(lams)
 
 
-def _widths(p, v, depth):
-    return padded_tree_widths(p.pad[:-1], v, depth)
-
-
 def _sum_norm_levels(p, cfg):
     """Sum-mode tree norms at depths 1..cfg.depth of the graph whose
     PreparedGraph is p."""
@@ -89,7 +85,7 @@ def _node_drop(g, v, cfg):
     edited = drop_node(g, v)
     depth = cfg.depth
     p = prepare_graph(g)
-    widths = _widths(p, v, depth)
+    widths = padded_tree_widths(p.pad, v, depth)
     lams = lambda_coefficients(cfg.schedule, depth)
     norms = _sum_norm_levels(p, cfg)
     bound = 0.0
@@ -104,8 +100,8 @@ def _edge_drop(g, u, v, cfg):
     depth = cfg.depth
     p = prepare_graph(g)
     lams = lambda_coefficients(cfg.schedule, depth)
-    widths_u = _widths(p, u, depth)
-    widths_v = _widths(p, v, depth)
+    widths_u = padded_tree_widths(p.pad, u, depth)
+    widths_v = padded_tree_widths(p.pad, v, depth)
     norms = _sum_norm_levels(p, cfg)
     bound = 0.0
     for l in range(1, depth):
@@ -121,7 +117,7 @@ def _node_perturbation(g, v, x_new, cfg):
     edited = perturb_feature(g, v, x_new)
     depth = cfg.depth
     p = prepare_graph(g)
-    widths = _widths(p, v, depth)
+    widths = padded_tree_widths(p.pad, v, depth)
     lams = lambda_coefficients(cfg.schedule, depth)
     delta = float(np.linalg.norm(g.features[v] - edited.features[v]))
     bound = np.dot(lams, widths.astype(np.float64)) * delta

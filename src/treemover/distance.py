@@ -196,9 +196,9 @@ class PreparedGraph(NamedTuple):
 
     Every per-node array has one more entry, for the blank tree, at index n:
     a leaf with norm 0. key is `graph_key`, which orders a pair canonically;
-    deg and pad are `graphs.neighbor_index` (the blank's row all blank);
-    norms are the depth-1 tree norms (the feature norms); zero_features
-    tells whether some node has an all-zero feature vector.
+    deg and pad are `graphs.neighbor_index`; norms are the depth-1 tree
+    norms (the feature norms); zero_features tells whether some node has an
+    all-zero feature vector.
     """
 
     features: np.ndarray
@@ -219,17 +219,12 @@ class PreparedGraph(NamedTuple):
 
 def prepare_graph(g):
     """The PreparedGraph of g."""
-    n = g.node_count
     deg, pad = neighbor_index(g)
-    blank_pad = np.full((n + 1, pad.shape[1]), n, dtype=np.intp)
-    blank_pad[:n] = pad
-    norms = np.zeros(n + 1)
     # a norm that overflows is inf, reported by the tables' overflow check
     with np.errstate(over="ignore"):
-        norms[:n] = np.linalg.norm(g.features, axis=1)
-    zero_features = n > 0 and not np.all(np.any(g.features != 0.0, axis=1))
-    return PreparedGraph(g.features, graph_key(g), np.concatenate((deg, [0])), blank_pad,
-                         norms, zero_features)
+        norms = np.append(np.linalg.norm(g.features, axis=1), 0.0)
+    zero_features = not np.all(np.any(g.features != 0.0, axis=1))
+    return PreparedGraph(g.features, graph_key(g), deg, pad, norms, zero_features)
 
 
 def _batch_layout(pairs):

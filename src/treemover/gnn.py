@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
-from .graphs import DatasetFormatError, degree_buckets, load_json, neighbor_index, write_json
+from .graphs import DatasetFormatError, group_indices, load_json, write_json
 from .schedule import (ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled,
                        positive_finite)
 
@@ -196,7 +196,7 @@ def gin_forward(model, g):
     the pooled node embeddings likewise, so every sum is order-canonical.
     """
     _check_input(model, g)
-    return _forward(model, g, neighbor_index(g))
+    return _forward(model, prepare_graph(g))
 
 
 def _check_input(model, g):
@@ -207,12 +207,12 @@ def _check_input(model, g):
         )
 
 
-def _forward(model, g, index):
-    """`gin_forward` of g, with its degrees and blank-padded neighbour rows
-    as `index` (those of `graphs.neighbor_index`, or a PreparedGraph's)."""
+def _forward(model, p):
+    """`gin_forward` of the graph whose PreparedGraph is p; the nodes of each
+    degree d > 0 aggregate their (P, d) neighbour rows as one block."""
     mean = model.aggregation == "mean"
-    buckets = degree_buckets(*index)
-    z = g.features
+    buckets = [(nodes, p.pad[nodes, :d], d) for d, nodes in group_indices(p.deg) if d]
+    z = p.features
     for layer in model.layers:
         agg = np.zeros_like(z)
         for nodes, nbrs, d in buckets:
@@ -224,8 +224,8 @@ def _forward(model, g, index):
             pre = z + model.epsilon * agg
         z = np.maximum(pre @ layer.weight.T + layer.bias, 0.0)
     pooled = _canonical_sums(z[None])[0]
-    if mean and g.node_count:
-        pooled = pooled / g.node_count
+    if mean and p.node_count:
+        pooled = pooled / p.node_count
     return pooled @ model.readout.weight.T + model.readout.bias
 
 
@@ -278,8 +278,7 @@ def lipschitz_check(model, ga, gb, cfg=None):
     a, b = prepare_graph(ga), prepare_graph(gb)
     # the distance first: an overflowing schedule raises before the forward passes do
     dist = prepared_tmd(a, b, cfg)
-    lhs = float(np.linalg.norm(_forward(model, ga, (a.deg, a.pad))
-                               - _forward(model, gb, (b.deg, b.pad))))
+    lhs = float(np.linalg.norm(_forward(model, a) - _forward(model, b)))
     rhs = model.lipschitz_product() * dist
     if rhs > 0:
         ratio = lhs / rhs

@@ -138,25 +138,16 @@ def group_indices(keys):
 
 
 def neighbor_index(g):
-    """Degrees and the neighbour lists of g as one blank-padded matrix.
+    """Degrees and blank-padded neighbour rows of g's nodes and its blank node n.
 
     Row v holds v's neighbours in order, then the blank index n up to the
-    largest degree.
+    largest degree; the blank has degree 0 and an all-blank row.
     """
     n = g.node_count
-    deg = np.fromiter((len(a) for a in g.neighbors), dtype=np.intp, count=n)
-    pad = np.full((n, int(deg.max(initial=0))), n, dtype=np.intp)
+    deg = np.array([*map(len, g.neighbors), 0], dtype=np.intp)
+    pad = np.full((n + 1, int(deg.max())), n, dtype=np.intp)
     pad[np.arange(pad.shape[1]) < deg[:, None]] = [v for a in g.neighbors for v in a]
     return deg, pad
-
-
-def degree_buckets(deg, pad):
-    """(nodes, neighbours, d) for each degree d > 0.
-
-    nodes lists the nodes of degree d in ascending order, neighbours their
-    (P, d) neighbour rows.
-    """
-    return [(nodes, pad[nodes, :d], d) for d, nodes in group_indices(deg) if d]
 
 
 def drop_node(g, v):
@@ -180,16 +171,19 @@ def drop_edge(g, u, v):
 
 
 def perturb_feature(g, v, x):
-    """Replace node v's feature vector with x."""
+    """Replace node v's feature vector with x, a vector of the graph's
+    dimension of numbers (not strings or bools, which numpy would convert)."""
     if not (0 <= v < g.node_count):
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != g.feature_dim:
-        raise ValueError(
-            f"feature has dimension {x.shape[0]}, graph has {g.feature_dim}"
-        )
+    try:
+        row = np.asarray(x, dtype=np.float64)
+        ok = row.shape == (g.feature_dim,) and np.asarray(x).dtype.kind in "iufO"
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"feature {x!r} is not a vector of numbers of dimension {g.feature_dim}")
     feats = g.features.copy()
-    feats[v] = x
+    feats[v] = row
     return AttributedGraph(feats, g.edges)
 
 

@@ -9,7 +9,7 @@ w(1) .. w(L-1) and the perturbation bounds at depth L consult w(1) .. w(L).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import inf
 
 
 class ConfigError(ValueError):
@@ -87,13 +87,15 @@ def _pascal_table(depth, scales):
     """w(1)..w(depth) with w(l) = s_l * C(depth, l-1) / C(depth, l).
 
     Raises ConfigError for a depth that is not an integer >= 1; scales then
-    maps the depth to its checked per-level scales s_1..s_depth. Each weight
-    is checked too: a finite scale times the ratio can overflow or underflow.
+    maps the depth to its checked per-level scales s_1..s_depth. The ratio
+    of binomials is l / (depth - l + 1), so no binomial is formed and any
+    depth works. Each weight is checked too: a finite scale times the ratio
+    can overflow or underflow.
     """
     if int(depth) != depth or depth < 1:
         raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
     depth = int(depth)
-    return tuple(positive_finite(f"w({l})", s * comb(depth, l - 1) / comb(depth, l))
+    return tuple(positive_finite(f"w({l})", s * (l / (depth - l + 1)))
                  for l, s in enumerate(scales(depth), start=1))
 
 

@@ -72,14 +72,14 @@ def tree_widths(g, v, depth):
 
 
 def padded_tree_widths(pad, v, depth):
-    """`tree_widths` from the n blank-padded neighbour rows of
+    """`tree_widths` from the blank-padded neighbour rows of
     `graphs.neighbor_index`, without argument checks; ConfigError names the
     first depth whose width (a Python-int sum of exact counts) passes int64."""
-    counts = np.zeros(len(pad) + 1, dtype=np.int64)
+    counts = np.zeros(len(pad), dtype=np.int64)
     counts[v] = 1
     widths = [1]
     for level in range(2, depth + 1):
-        counts[:-1] = counts[pad].sum(axis=1)
+        counts = counts[pad].sum(axis=1)
         widths.append(sum(counts.tolist()))
         if widths[-1] > np.iinfo(np.int64).max:
             raise ConfigError(f"tree widths overflow int64 at depth {level}; use a smaller depth")

@@ -1,9 +1,11 @@
 """End-to-end command-line tests: outputs, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from treemover import (
     GraphDataset,
     load_distance_csv,
     loo_knn_accuracy,
+    pascal_weights,
     random_gin,
     random_graph,
     save_dataset_json,
@@ -23,7 +26,7 @@ from treemover import (
 import treemover.cli as cli_module
 from treemover.cli import main, parse_weights
 
-from conftest import fixture_path, molecule18
+from conftest import FIXTURES, fixture_path, molecule18
 from test_tudataset import write_dataset
 
 
@@ -63,6 +66,39 @@ def test_parse_weights_rejects_garbage():
     for bad in ("constant", "constant:x", "pascal:", "pascal:4,1,2", "exp:2"):
         with pytest.raises(ConfigError):
             parse_weights(bad)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.3, 3.0, 1e-300, 1e300])
+def test_pascal_weights_are_the_binomial_ratio(eps):
+    # w(l) = eps * C(d, l-1) / C(d, l), to the last bit when eps is a power of two
+    for d in (*range(1, 61), 1100):
+        got = pascal_weights(d, eps).table
+        want = [float(Fraction(eps) * math.comb(d, l - 1) / math.comb(d, l))
+                for l in range(1, d + 1)]
+        if math.frexp(eps)[0] == 0.5:
+            assert got == tuple(want)
+        else:
+            assert got == pytest.approx(want, rel=3e-16)
+
+
+def test_dist_pascal_schedule_past_the_float_binomials(two_cluster_dir, tmp_path):
+    # C(1100, 550) is past the float range
+    d, _ = two_cluster_dir
+    out = tmp_path / "m.csv"
+    assert main(["dist", "--data", str(d), "--depth", "3", "--weights", "pascal:1100",
+                 "--threads", "1", "--out", str(out)]) == 0
+    assert np.all(np.isfinite(load_distance_csv(out).values))
+
+
+def test_pascal_weight_that_overflows_is_named(two_cluster_dir, tmp_path, capsys):
+    # w(2) = 1e308 * 4 / 6 and w(3) = 1e308 * 6 / 4 are finite, w(4) = 4e308 is not
+    d, _ = two_cluster_dir
+    out = tmp_path / "m.csv"
+    assert main(["dist", "--data", str(d), "--depth", "3", "--weights", "pascal:4,1e308",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: bad weights 'pascal:4,1e308': w(4) must be "
+                                       "positive and finite, got inf\n")
+    assert not out.exists()
 
 
 # --- dist ---
@@ -400,6 +436,17 @@ def test_shift_report_matches_golden(tmp_path, threads):
     assert out.read_bytes() == (GOLDEN / "shift_report.json").read_bytes()
 
 
+def test_shift_of_huge_distances(tmp_path):
+    # the largest matrix cell is about 1e20, a cost HiGHS fails on unscaled
+    test = tmp_path / "test.json"
+    save_dataset_json(test, GraphDataset([random_graph(4, 0.5, 1, s) for s in range(2)]))
+    out = tmp_path / "r.json"
+    assert main(["shift", "--train", str(FIXTURES), "--test", str(test), "--depth", "524",
+                 "--weights", "constant:0.5", "--threads", "1", "--out", str(out)]) == 0
+    w1 = json.loads(out.read_text())["entries"][0]["w1"]
+    assert 1e19 < w1 < math.inf
+
+
 def test_shift_test_name_count_mismatch(tmp_path):
     tu = tmp_path / "tu"
     tu.mkdir()
@@ -585,6 +632,21 @@ def test_perturb_node_out_of_range(tmp_path, capsys, edit):
     assert main(["perturb", "--graph", str(fixture_path("edge_pair")), *edit,
                  "--depth", "2", "--weights", "constant:1.0", "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: node {edit[1]} out of range for 2 nodes\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("feature", ["{}", "[{}]", "[[1.0], 2.0]", f"[{10**400}]", '"1.5"',
+                                     "[true]", "1.5", "[[1.0]]"],
+                         ids=["dict", "list-of-dict", "ragged", "huge-int", "numeric-string",
+                              "bool", "scalar", "nested"])
+def test_perturb_feature_not_a_vector_of_numbers(tmp_path, capsys, feature):
+    out = tmp_path / "p.json"
+    assert main(["perturb", "--graph", str(fixture_path("edge_pair")), "--perturb-node",
+                 "0", "--feature", feature, "--depth", "2", "--weights", "constant:1.0",
+                 "--out", str(out)]) == 3
+    x = json.loads(feature)
+    assert capsys.readouterr().err == (f"error: feature {x!r} is not a vector of numbers "
+                                       "of dimension 1\n")
     assert not out.exists()
 
 

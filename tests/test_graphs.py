@@ -5,11 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from treemover import (AttributedGraph, GraphDataset, dataset_from_json,
-                       dataset_to_json, drop_edge, drop_node, graph_from_json,
-                       graph_to_json, load_dataset_json, load_graph_json,
-                       permute_nodes, perturb_feature, random_graph, save_dataset_json,
-                       save_graph_json, standardize_datasets)
+from treemover import (AttributedGraph, GraphDataset, TmdConfig, constant_weights,
+                       dataset_from_json, dataset_to_json, drop_edge, drop_node,
+                       edit_sequence_bound, graph_from_json, graph_to_json,
+                       load_dataset_json, load_graph_json, permute_nodes, perturb_feature,
+                       random_graph, save_dataset_json, save_graph_json,
+                       standardize_datasets)
 
 from conftest import load_fixture
 
@@ -97,6 +98,21 @@ def test_perturb_feature_identity_keeps_graph_equal():
     assert h2.features[0, 0] == 4.0
     with pytest.raises(ValueError):
         perturb_feature(g, 0, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("x", [{}, [{}], "x", [1.0, [2.0]], [10**400], "1.5", ["1.5"], [True],
+                               1.5, [[1.0]]],
+                         ids=["dict", "list-of-dict", "word", "ragged", "huge-int", "numeric-word",
+                              "list-of-numeric-word", "bool", "scalar", "nested"])
+def test_perturb_feature_not_a_vector_of_numbers(x):
+    # numpy raises TypeError or OverflowError for some of these, and would
+    # read the last five as the vector [1.5] or [1.0]
+    g = load_fixture("edge_pair")
+    message = re.escape(f"feature {x!r} is not a vector of numbers of dimension 1")
+    with pytest.raises(ValueError, match=message):
+        perturb_feature(g, 0, x)
+    with pytest.raises(ValueError, match=message):
+        edit_sequence_bound(g, [("perturb", 0, x)], TmdConfig(2, constant_weights(1.0)))
 
 
 def test_permute_roundtrip():

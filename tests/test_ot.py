@@ -276,6 +276,17 @@ def test_transport_is_linprog_bitwise():
         assert plan_bytes(solve_transport(c, a, b)) == want, (c, a, b)
 
 
+@pytest.mark.parametrize("k", [60, 200, 900])
+def test_transport_of_huge_costs(k):
+    # unscaled, HiGHS reports "Solve error" or "Unknown" from costs of about 1e18
+    for c, a, b in random_transport_problems(5, 40, 11):
+        plan = solve_transport(c * 2.0**k, a, b)
+        assert np.allclose(plan.flow.sum(axis=1), a, rtol=0, atol=1e-12)
+        assert np.allclose(plan.flow.sum(axis=0), b, rtol=0, atol=1e-12)
+        want = solve_transport(c, a, b).cost * 2.0**k
+        assert plan.cost == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_public_linprog_is_the_transport_fallback(monkeypatch):
     problems = list(random_transport_problems(29, 150, 12))
     fast = [plan_bytes(solve_transport(*p)) for p in problems]

@@ -21,8 +21,9 @@ not depend on the other graphs refined with them.
 Mutated input files (graph, dataset and model JSON, and the text layout)
 never make `cli.main` raise: it exits 0, 2 or 3, and an exit of 2 names the
 file at fault. Out-of-range option values (0, -1, the smallest and largest
-floats, inf, NaN) end in a one-line error or an output its reader loads
-back, with no numpy warning.
+floats, inf, NaN; integers up to 10**30; malformed schedules and features)
+end in a one-line error or an output its reader loads back, with no numpy
+warning.
 
 Features of 0 make all-zero rows common, so the distance's warning about
 them is silenced where a test computes one.
@@ -154,14 +155,16 @@ def test_edit_bounds_cover_their_exact_distance(g, c, data):
     v = data.draw(st.integers(0, g.node_count - 1))
     x = data.draw(st.lists(st.sampled_from(VALUES), min_size=g.feature_dim,
                            max_size=g.feature_dim))
-    reports = [(node_drop_bound(g, v, c), drop_node(g, v)),
-               (node_perturbation_bound(g, v, x, c), perturb_feature(g, v, x))]
+    reports = [(node_drop_bound(g, v, c), drop_node(g, v), (v,)),
+               (node_perturbation_bound(g, v, x, c), perturb_feature(g, v, x), (v,))]
     if g.edges:
         u, w = data.draw(st.sampled_from(g.edges))
-        reports.append((edge_drop_bound(g, u, w, c), drop_edge(g, u, w)))
-    for rep, edited in reports:
+        reports.append((edge_drop_bound(g, u, w, c), drop_edge(g, u, w), (u, w)))
+    for rep, edited, nodes in reports:
         assert rep.exact_tmd <= rep.bound + 1e-9 * max(1.0, rep.bound), rep.kind
         assert rep.exact_tmd.hex() == tmd(g, edited, c).hex(), rep.kind
+        assert rep.widths == tuple(tuple(reference_tree_widths(g, n, c.depth).tolist())
+                                   for n in nodes), rep.kind
 
 
 @ZERO_ROWS
@@ -423,7 +426,60 @@ def option_run(tmp_path, option, x, depth):
 @given(st.sampled_from(["constant", "pascal", "gamma", "lipschitz", "epsilon"]),
        st.sampled_from(OPTION_VALUES), st.integers(-1, 3))
 def test_option_values_end_in_a_documented_exit(tmp_path, option, x, depth):
-    argv, out = option_run(tmp_path, option, x, depth)
+    check_option_run(*option_run(tmp_path, option, x, depth))
+
+
+INTEGERS = (0, -1, 2**31, 2**63, 10**30)
+# the values tried per option; workers are capped by the row count, so
+# --threads 10**30 forks a handful, and pascal:1100 builds its table quickly
+OPTION_TEXTS = {
+    **{option: INTEGERS for option in ("knn --k", "cluster --k", "cluster --seed",
+                                       "wl --iterations", "lipschitz --pairs",
+                                       "lipschitz --seed", "dist --threads", "dist --mode")},
+    "dist --weights": ("constant:", "constant:1,2", "pascal:", "pascal:2,", "pascal:1e3",
+                       "pascal:0", "pascal:1100", "pascal:3,1,2", "linear:1"),
+    "perturb --feature": ("{}", "[{}]", '"x"', "null", "[1e999]", "[]", "[[1.0]]"),
+}
+
+
+def option_text_run(tmp_path, option, x, depth):
+    """(argv, output path) of a run that gives `option`, a "command --flag"
+    key of OPTION_TEXTS, the value x, with --depth depth where it applies."""
+    command, flag = option.split()
+    out = tmp_path / ("m.csv" if command == "dist" else "r.json")
+    if command in ("knn", "cluster"):
+        matrix, labels = tmp_path / "d.csv", tmp_path / "labels.txt"
+        save_distance_csv(matrix, DistanceMatrix(
+            np.array([[0.0, 1.5, 4.0], [1.5, 0.0, 3.0], [4.0, 3.0, 0.0]]), "abc", "abc"))
+        labels.write_text("0\n1\n0\n")
+        argv = [command, "--matrix", matrix, "--labels", labels, "--k", 2]
+    elif command == "wl":
+        argv = ["wl", "--graph-a", FIXTURES / "path3.json", "--graph-b", FIXTURES / "star4.json"]
+    elif command == "lipschitz":
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_json(random_gin(1, 3, 2, seed=1))))
+        argv = ["lipschitz", "--model", model, "--data", FIXTURES, "--pairs", 2]
+    elif command == "dist":
+        argv = ["dist", "--data", FIXTURES, "--depth", depth, "--weights", "constant:0.5",
+                "--threads", 1]
+    else:
+        argv = ["perturb", "--graph", FIXTURES / "path3.json", "--perturb-node", 0,
+                "--depth", depth, "--weights", "constant:0.5"]
+    # a later flag overrides an earlier one
+    return [*argv, flag, x], out
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_TEXTS))
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_option_texts_end_in_a_documented_exit(tmp_path, option, data):
+    x = data.draw(st.sampled_from(OPTION_TEXTS[option]))
+    check_option_run(*option_text_run(tmp_path, option, x, data.draw(st.integers(-1, 3))))
+
+
+def check_option_run(argv, out):
+    """The run of argv exits 0 with an output its reader loads back, or 1, 2
+    or 3 with one error line; with no warning either way."""
     out.unlink(missing_ok=True)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
