@@ -173,7 +173,7 @@ def warn_zero_features(count, total):
 
 
 def _check_finite(values, depth, cfg):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ConfigError(
             f"tree distances overflow at depth {depth} under schedule "
             f"{cfg.schedule.label()} ({cfg.mode} mode); use a smaller depth "
@@ -220,11 +220,14 @@ class PreparedGraph(NamedTuple):
 def prepare_graph(g):
     """The PreparedGraph of g."""
     deg, pad = neighbor_index(g)
-    # a norm that overflows is inf, reported by the tables' overflow check
+    x = g.features
+    norms = np.zeros(len(deg))
+    # np.linalg.norm(x, axis=1) of real x, bitwise; a norm that overflows is
+    # inf, reported by the tables' overflow check
     with np.errstate(over="ignore"):
-        norms = np.append(np.linalg.norm(g.features, axis=1), 0.0)
-    zero_features = not np.all(np.any(g.features != 0.0, axis=1))
-    return PreparedGraph(g.features, graph_key(g), deg, pad, norms, zero_features)
+        np.sqrt((x * x).sum(axis=1), out=norms[:-1])
+    zero_features = not (x != 0.0).any(axis=1).all()
+    return PreparedGraph(x, graph_key(g), deg, pad, norms, zero_features)
 
 
 def _batch_layout(pairs):
@@ -298,7 +301,7 @@ def _child_buckets(rows, cols, ia, ib, deg_a, deg_b):
         row = rows[:, :s].take(ia[cells], axis=0)
         col = cols[:, :s].take(ib[cells], axis=0)
         if key > 0:
-            offs = np.arange(len(cells))[:, None] * (s * s) + np.arange(s) * s
+            offs = np.arange(0, len(cells) * s * s, s).reshape(-1, s)
             transports.append((cells, row[:, :, None] + col[:, None, :], offs, s))
         else:
             # the leaf's children are all blank, so row + col runs along
@@ -320,8 +323,11 @@ def _child_costs(prev, transports, leaves, count, mean):
         out[cells] = costs / d if mean else costs
     for cells, gather, offs, s in transports:
         c = prev.take(gather)
-        # a comprehension, not map(): cProfile misses builtins called from C
-        perms = np.concatenate([linear_sum_assignment(m)[1] for m in c]).reshape(-1, s)
+        # a comprehension, not map(): cProfile misses builtins called from C;
+        # joining the P column arrays as bytes costs less than concatenating
+        # P tiny arrays, and the dtype the solver returned reads them back
+        joined = b"".join([(col := linear_sum_assignment(m)[1]).tobytes() for m in c])
+        perms = np.frombuffer(joined, col.dtype).reshape(-1, s)
         costs = c.reshape(-1).take(offs + perms).sum(axis=1)
         out[cells] = costs / s if mean else costs
     return out

@@ -132,9 +132,10 @@ def group_indices(keys):
     group's positions are ascending.
     """
     order = np.argsort(keys, kind="stable")
-    values, starts = np.unique(keys[order], return_index=True)
-    ends = np.append(starts[1:], len(order))
-    return [(int(x), order[lo:hi]) for x, lo, hi in zip(values, starts, ends)]
+    ranked = keys[order]
+    starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    cuts = [0, *starts.tolist(), len(order)] if len(order) else []
+    return [(int(ranked[lo]), order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def neighbor_index(g):

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 import treemover.distance as distance_module
 from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
-                       build_distance_tables, constant_weights, dataset_w1,
+                       build_distance_tables, constant_weights, dataset_w1, drop_node,
                        edge_drop_bound, edit_sequence_bound, lipschitz_check, naive_tmd,
                        node_drop_bound, node_perturbation_bound, pairwise_tmd,
                        pascal_weights, permute_nodes, random_gin, random_graph,
@@ -492,6 +492,63 @@ def test_profiler_sees_one_assignment_per_child_transport_and_final():
                        if path == "~" and func.endswith("linear_sum_assignment>"))
             final = int(ga.node_count > 0 and gb.node_count > 0)
             assert seen == (depth - 1) * with_children[0] * with_children[1] + final
+
+
+def _profiled_assignments(fn, *args):
+    """The native assignment calls that cProfile sees while fn(*args) runs."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return sum(stat[1] for (path, _, func), stat in pstats.Stats(profile).stats.items()
+               if path == "~" and func.endswith("linear_sum_assignment>"))
+
+
+def _with_children(g):
+    return sum(len(a) > 0 for a in g.neighbors)
+
+
+def test_profiler_sees_one_assignment_per_child_transport_across_a_matrix():
+    graphs = _differential_graphs()
+    n, half = len(graphs), len(graphs) // 2
+    for depth in (1, 3):
+        def per_pair(i, j):
+            final = int(graphs[i].node_count > 0 and graphs[j].node_count > 0)
+            return (depth - 1) * _with_children(graphs[i]) * _with_children(graphs[j]) + final
+
+        seen = _profiled_assignments(pairwise_tmd, GraphDataset(graphs), None, cfg(depth))
+        assert seen == sum(per_pair(i, j) for i in range(n) for j in range(i + 1, n))
+        seen = _profiled_assignments(pairwise_tmd, GraphDataset(graphs[:half]),
+                                     GraphDataset(graphs[half:]), cfg(depth), 1)
+        assert seen == sum(per_pair(i, j) for i in range(half) for j in range(half, n))
+
+
+def test_profiler_sees_one_assignment_per_child_transport_of_a_certificate():
+    # the bound's norms are tables against the empty graph, all leaf cells,
+    # so its one exact distance makes every native call
+    for g in _differential_graphs():
+        for v in range(min(g.node_count, 3)):
+            edited = drop_node(g, v)
+            for depth in (1, 3):
+                seen = _profiled_assignments(node_drop_bound, g, v, cfg(depth))
+                final = int(edited.node_count > 0)
+                assert seen == (depth - 1) * _with_children(g) * _with_children(edited) + final
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+def test_assignment_columns_read_with_the_solvers_dtype(monkeypatch, mode):
+    c = cfg(4, mode, pascal_weights(4))
+    pairs = _differential_pairs()
+    want = np.array([tmd(ga, gb, c) for ga, gb in pairs])
+    calls = []
+
+    def narrow(m):
+        rows, cols = linear_sum_assignment(m)
+        calls.append(m.shape)
+        return rows.astype(np.int32), cols.astype(np.int32)
+
+    monkeypatch.setattr(distance_module, "linear_sum_assignment", narrow)
+    got = np.array([tmd(ga, gb, c) for ga, gb in pairs])
+    assert calls
+    assert got.tobytes() == want.tobytes()
 
 
 def _differential_batch():

@@ -11,6 +11,7 @@ from treemover import (AttributedGraph, GraphDataset, TmdConfig, constant_weight
                        load_dataset_json, load_graph_json, permute_nodes, perturb_feature,
                        random_graph, save_dataset_json, save_graph_json,
                        standardize_datasets)
+from treemover.graphs import group_indices
 
 from conftest import load_fixture
 
@@ -201,3 +202,19 @@ def test_standardize_joint_stats():
     gconst = AttributedGraph(np.ones((3, 1)), [])
     (out2,) = standardize_datasets([GraphDataset((gconst,))])
     np.testing.assert_array_equal(out2.graphs[0].features, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("keys", [[], [5], [3, 3, 3, 3], [2, -1, 0, 2, -7, 0, 0, 9, -1, 2],
+                                  [0, -3, 4, 1, -3, 4]])
+def test_group_indices_edge_cases(keys):
+    keys = np.array(keys, dtype=np.intp)
+    got = group_indices(keys)
+    # reference: a stable sort, then np.unique's first position of each value
+    order = np.argsort(keys, kind="stable")
+    values, starts = np.unique(keys[order], return_index=True)
+    ends = [*starts[1:], len(keys)]
+    assert [x for x, _ in got] == values.tolist()
+    assert all(type(x) is int for x, _ in got)
+    for (_, positions), lo, hi in zip(got, starts, ends):
+        assert positions.dtype == order.dtype
+        assert positions.tobytes() == order[lo:hi].tobytes()
