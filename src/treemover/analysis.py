@@ -8,20 +8,19 @@ each row in batches (`distance.pair_distances`); a shift report computes
 one train x (all test sets) matrix, so it forks at most one worker pool.
 Importing this module loads the engine and the two compiled SciPy modules
 it calls, so a command that forks workers has them loaded before the fork.
-The dataset LP loads SciPy's compiled HiGHS module, when it first runs in
-the parent (see `ot`); no SciPy package is loaded.
+It loads no process pool: `pairwise_tmd` imports one only when it forks,
+so a one-worker matrix loads no multiprocessing. The dataset LP imports
+`ot` and loads SciPy's compiled HiGHS module when it first runs in the
+parent (see `ot`); no SciPy package is loaded.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .distance import pair_distances, prepare_graph, warn_zero_features
 from .graphs import GraphDataset, check_feature_dims, graph_key
 from .matrix import DistanceMatrix
-from .ot import solve_transport
 from .schedule import ConfigError
 
 _WORKER = None
@@ -70,6 +69,8 @@ def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
     if workers <= 1:
         results = [_row(prep_a, prep_b, cfg, *t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,
             initargs=(prep_a, prep_b, cfg),
@@ -105,6 +106,8 @@ def _w1(values, ds_a, ds_b):
     """W1 from the ds_a x ds_b block of distances, solved in the canonical
     orientation (a swapped pair solves the transposed block with swapped
     masses), so the value is bitwise symmetric."""
+    from .ot import solve_transport
+
     ds_a, ds_b, swap = _canonical(ds_a, ds_b)
     a = np.full(len(ds_a), 1.0 / len(ds_a))
     b = np.full(len(ds_b), 1.0 / len(ds_b))

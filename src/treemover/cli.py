@@ -15,12 +15,16 @@ unless the user set it, before numpy loads. Importing this module or
 calling `main` leaves the environment alone.
 
 Each handler imports the modules it needs beyond the light ones imported
-here, so gram, knn, cluster and wl never load SciPy. dist and shift import
-`analysis`, which loads the engine and the two compiled SciPy modules it
-calls, and no SciPy package, before any worker is forked, so the workers
-inherit them instead of loading them again. shift loads SciPy's compiled
-HiGHS module for its dataset LP, after the workers are done, and no SciPy
-package either.
+here (graphs, matrix, schedule), so a process loads only the modules its
+work runs: knn and cluster load `learn`, wl loads `wl`, and a dataset read
+from the benchmark text layout (`--name`) loads `tudataset`. gram, knn,
+cluster and wl never load SciPy. dist and shift import `analysis`, which
+loads the engine and the two compiled SciPy modules it calls, and no SciPy
+package, before any worker is forked, so the workers inherit them instead
+of loading them again. They import the process pool only when they fork,
+so at one thread they load no multiprocessing. shift loads SciPy's
+compiled HiGHS module for its dataset LP, after the workers are done, and
+no SciPy package either.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ import numpy as np
 from .graphs import (DatasetFormatError, GraphDataset, load_dataset_json,
                      load_graph_json, read_rows, standardize_datasets, with_empty_dims,
                      write_json)
-from .learn import kmedoids, loo_knn_accuracy, majority_rate, nmi, completeness_score
 from .matrix import DistanceMatrix, gram_matrix, load_distance_csv, save_distance_csv
 from .schedule import ConfigError, TmdConfig, constant_weights, pascal_weights
-from .tudataset import parse_tudataset
-from .wl import wl_first_difference
 
 
 class _ParseError(Exception):
@@ -91,6 +92,8 @@ def load_dataset(path, name=None):
     """A dataset directory: benchmark text layout when `name` is given,
     otherwise a dataset JSON file or a directory of graph JSON files."""
     if name:
+        from .tudataset import parse_tudataset
+
         return parse_tudataset(path, name)
     if os.path.isfile(path):
         return load_dataset_json(path)
@@ -139,6 +142,8 @@ def _read_labels(path, rows):
 
 
 def cmd_knn(args):
+    from .learn import loo_knn_accuracy, majority_rate
+
     dm = load_distance_csv(args.matrix)
     labels = _read_labels(args.labels, dm.values.shape[0])
     acc = loo_knn_accuracy(dm.values, labels, args.k)
@@ -153,6 +158,8 @@ def cmd_knn(args):
 
 
 def cmd_cluster(args):
+    from .learn import completeness_score, kmedoids, nmi
+
     dm = load_distance_csv(args.matrix)
     result = kmedoids(dm.values, args.k, args.seed)
     medoids = list(result.medoids)
@@ -286,6 +293,8 @@ def cmd_perturb(args):
 
 
 def cmd_wl(args):
+    from .wl import wl_first_difference
+
     ga = load_graph_json(args.graph_a)
     gb = load_graph_json(args.graph_b)
     first = wl_first_difference(ga, gb, args.iterations)

@@ -130,7 +130,7 @@ class RecordingPool(ProcessPoolExecutor):
 @pytest.fixture()
 def pools(monkeypatch):
     RecordingPool.sizes = []
-    monkeypatch.setattr(analysis_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return RecordingPool.sizes
 
 

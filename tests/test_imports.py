@@ -2,8 +2,10 @@
 package exports. Commands that never solve a transport run without SciPy;
 the distance engine and the first use of the package's public API load only
 the two compiled SciPy modules the engine calls, and the dataset LP only
-SciPy's compiled HiGHS module: no SciPy package is ever loaded. Only the
-`tmd` entry points touch the environment: they run BLAS single-threaded.
+SciPy's compiled HiGHS module: no SciPy package is ever loaded. The process
+pool and multiprocessing load only when a matrix forks, and each command
+loads only the treemover modules its work runs. Only the `tmd` entry points
+touch the environment: they run BLAS single-threaded.
 
 Each check runs in a new `sys.executable` process, because this test
 process has long since imported every module.
@@ -50,6 +52,16 @@ def scipy_modules_after(code):
     return run_fresh(code + "\nimport json, sys\n"
                      "print(json.dumps(sorted(m for m in sys.modules "
                      "if m == 'scipy' or m.startswith('scipy.'))))")
+
+
+def loaded_after(code, names):
+    """Which of the modules `names` a fresh interpreter holds after `code`."""
+    return run_fresh(code + "\nimport json, sys\n"
+                     f"print(json.dumps([m for m in {names!r} if m in sys.modules]))")
+
+
+# what a forking matrix loads, and nothing else does
+POOL = ["concurrent.futures", "multiprocessing"]
 
 
 @pytest.mark.parametrize("code", ["import treemover", "import treemover.cli"])
@@ -107,6 +119,54 @@ def test_solver_loads_before_any_fork(code):
     # the engine and the package API load only the compiled modules the
     # engine calls, and no SciPy package.
     assert scipy_modules_after(code) == KERNELS
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import treemover\ntreemover.TmdConfig",
+                 id="import treemover\ntreemover.TmdConfig"),
+    pytest.param("import treemover.analysis", id="import treemover.analysis"),
+])
+def test_no_process_pool_before_a_matrix_forks(code):
+    assert loaded_after(code, POOL) == []
+
+
+def test_a_forking_matrix_loads_the_pool_and_matches_one_thread():
+    code = ("import json, sys\n"
+            "import treemover as tm\n"
+            "ds = tm.GraphDataset([tm.random_graph(n, 0.4, 3, n) for n in (4, 6, 7)])\n"
+            "cfg = tm.TmdConfig(2, tm.constant_weights(0.5), 'sum')\n"
+            "one = tm.pairwise_tmd(ds, None, cfg, threads=1).values\n"
+            f"before = [m for m in {POOL!r} if m in sys.modules]\n"
+            "two = tm.pairwise_tmd(ds, None, cfg, threads=2).values\n"
+            "print(json.dumps([before, 'concurrent.futures.process' in sys.modules,\n"
+            "                  one.tobytes() == two.tobytes()]))\n")
+    assert run_fresh(code) == [[], True, True]
+
+
+def test_matrix_commands_load_only_their_own_modules(tmp_path):
+    mat = tmp_path / "m.csv"
+    save_distance_csv(mat, DistanceMatrix(
+        np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 3.5], [4.0, 3.5, 0.0]]), "abc", "abc"))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n0\n1\n")
+    runs = [
+        ["gram", "--matrix", str(mat), "--gamma", "0.5", "--out", str(tmp_path / "k.csv")],
+        ["knn", "--matrix", str(mat), "--labels", str(labels),
+         "--out", str(tmp_path / "knn.json")],
+        ["cluster", "--matrix", str(mat), "--k", "2", "--labels", str(labels),
+         "--out", str(tmp_path / "cluster.json")],
+    ]
+    optional = ["treemover.learn", "treemover.tudataset", "treemover.wl"]
+    code = ("import contextlib, io, json, sys\n"
+            "from treemover.cli import main\n"
+            "seen = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            f"    seen.append([m for m in {optional!r} if m in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    # gram needs none of them; knn and cluster load `learn` alone
+    assert run_fresh(code) == [[], ["treemover.learn"], ["treemover.learn"]]
 
 
 def test_dataset_lp_loads_only_the_highs_module():
@@ -174,6 +234,15 @@ def dist_argv(tmp_path):
         (graphs / f"{name}.json").write_text(fixture_path(name).read_text())
     return ["dist", "--data", str(graphs), "--depth", "2", "--weights", "constant:0.5",
             "--out", str(tmp_path / "m.csv")]
+
+
+def test_one_thread_dist_loads_no_process_pool(tmp_path):
+    code = ("import contextlib, io\n"
+            "from treemover.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({[*dist_argv(tmp_path), '--threads', '1']!r}) == 0\n")
+    assert loaded_after(code, POOL) == []
+    assert (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("user", [None, "2"])
