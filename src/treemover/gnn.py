@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
-from .graphs import DatasetFormatError, group_indices, load_json, write_json
+from .graphs import (DatasetFormatError, group_indices, load_json, neighbor_index,
+                     write_json)
 from .schedule import (ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled,
                        positive_finite)
 
@@ -196,7 +197,7 @@ def gin_forward(model, g):
     the pooled node embeddings likewise, so every sum is order-canonical.
     """
     _check_input(model, g)
-    return _forward(model, prepare_graph(g))
+    return _forward(model, g.features, *neighbor_index(g))
 
 
 def _check_input(model, g):
@@ -207,12 +208,13 @@ def _check_input(model, g):
         )
 
 
-def _forward(model, p):
-    """`gin_forward` of the graph whose PreparedGraph is p; the nodes of each
-    degree d > 0 aggregate their (P, d) neighbour rows as one block."""
+def _forward(model, x, deg, pad):
+    """`gin_forward` of the graph with features x and `neighbor_index`
+    layout (deg, pad); the nodes of each degree d > 0 aggregate their
+    (P, d) neighbour rows as one block."""
     mean = model.aggregation == "mean"
-    buckets = [(nodes, p.pad[nodes, :d], d) for d, nodes in group_indices(p.deg) if d]
-    z = p.features
+    buckets = [(nodes, pad[nodes, :d], d) for d, nodes in group_indices(deg) if d]
+    z = x
     for layer in model.layers:
         agg = np.zeros_like(z)
         for nodes, nbrs, d in buckets:
@@ -224,8 +226,8 @@ def _forward(model, p):
             pre = z + model.epsilon * agg
         z = np.maximum(pre @ layer.weight.T + layer.bias, 0.0)
     pooled = _canonical_sums(z[None])[0]
-    if mean and p.node_count:
-        pooled = pooled / p.node_count
+    if mean and len(x):
+        pooled = pooled / len(x)
     return pooled @ model.readout.weight.T + model.readout.bias
 
 
@@ -278,7 +280,8 @@ def lipschitz_check(model, ga, gb, cfg=None):
     a, b = prepare_graph(ga), prepare_graph(gb)
     # the distance first: an overflowing schedule raises before the forward passes do
     dist = prepared_tmd(a, b, cfg)
-    lhs = float(np.linalg.norm(_forward(model, a) - _forward(model, b)))
+    lhs = float(np.linalg.norm(_forward(model, a.features, a.deg, a.pad)
+                               - _forward(model, b.features, b.deg, b.pad)))
     rhs = model.lipschitz_product() * dist
     if rhs > 0:
         ratio = lhs / rhs

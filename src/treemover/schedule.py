@@ -83,17 +83,26 @@ def constant_weights(c):
     return WeightSchedule(kind="constant", constant=positive_finite("constant weight", c))
 
 
+# deepest pascal table: far beyond any tree depth a distance can use, and
+# small enough that the table is built at once
+PASCAL_MAX_DEPTH = 10_000
+
+
 def _pascal_table(depth, scales):
     """w(1)..w(depth) with w(l) = s_l * C(depth, l-1) / C(depth, l).
 
-    Raises ConfigError for a depth that is not an integer >= 1; scales then
-    maps the depth to its checked per-level scales s_1..s_depth. The ratio
-    of binomials is l / (depth - l + 1), so no binomial is formed and any
-    depth works. Each weight is checked too: a finite scale times the ratio
+    Raises ConfigError for a depth that is not an integer from 1 to
+    PASCAL_MAX_DEPTH, before any list is built; scales then maps the depth
+    to its checked per-level scales s_1..s_depth. The ratio of binomials is
+    l / (depth - l + 1), so no binomial is formed and every depth up to the
+    cap works. Each weight is checked too: a finite scale times the ratio
     can overflow or underflow.
     """
     if int(depth) != depth or depth < 1:
         raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
+    if depth > PASCAL_MAX_DEPTH:
+        raise ConfigError(f"pascal schedule depth must be at most {PASCAL_MAX_DEPTH}, "
+                          f"got {depth}")
     depth = int(depth)
     return tuple(positive_finite(f"w({l})", s * (l / (depth - l + 1)))
                  for l, s in enumerate(scales(depth), start=1))
@@ -102,9 +111,9 @@ def _pascal_table(depth, scales):
 def pascal_weights(depth, epsilon=1.0):
     """Ratio-of-binomials schedule: w(l) = epsilon * C(depth, l-1) / C(depth, l).
 
-    Defined for l = 1..depth; w(l) grows from epsilon/depth up to
-    epsilon*depth, the profile under which message-passing contractions
-    telescope in the stability bound.
+    Defined for l = 1..depth, with depth at most PASCAL_MAX_DEPTH; w(l)
+    grows from epsilon/depth up to epsilon*depth, the profile under which
+    message-passing contractions telescope in the stability bound.
     """
     epsilon = float(epsilon)
 

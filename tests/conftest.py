@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 from pathlib import Path
@@ -27,6 +28,19 @@ def molecule18():
              (3, 8), (4, 9), (5, 10), (5, 12), (8, 14), (10, 11), (10, 13), (13, 15),
              (14, 16), (16, 17)]
     return AttributedGraph(np.ones((18, 1)), edges)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_unfrozen():
+    """Fail a test after which the collector's frozen generation changed.
+
+    Only the `tmd` entry points freeze, right before their process exits
+    (`launcher.exit_frozen`); `cli.main` and every library path run in this
+    process and must leave the collector as they found it.
+    """
+    before = gc.get_freeze_count()
+    yield
+    assert gc.get_freeze_count() == before, "the test froze the collector"
 
 
 @pytest.fixture

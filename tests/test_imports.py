@@ -5,7 +5,8 @@ the two compiled SciPy modules the engine calls, and the dataset LP only
 SciPy's compiled HiGHS module: no SciPy package is ever loaded. The process
 pool and multiprocessing load only when a matrix forks, and each command
 loads only the treemover modules its work runs. Only the `tmd` entry points
-touch the environment: they run BLAS single-threaded.
+touch the environment: they run BLAS single-threaded, and end their process
+with the collector frozen.
 
 Each check runs in a new `sys.executable` process, because this test
 process has long since imported every module.
@@ -31,9 +32,9 @@ from test_cli import console_script_command
 SRC = str(Path(treemover.__file__).resolve().parent.parent)
 
 
-def run_fresh(code, **overrides):
+def spawn_fresh(code, **overrides):
     """Run `code` in a new interpreter that imports treemover from this
-    checkout; returns the JSON object it prints last. Each keyword sets an
+    checkout; returns the finished process. Each keyword sets an
     environment variable, or removes it when None."""
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + old if old else ""))
@@ -42,8 +43,14 @@ def run_fresh(code, **overrides):
             env.pop(name, None)
         else:
             env[name] = value
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def run_fresh(code, **overrides):
+    """`spawn_fresh`, which must exit 0; returns the JSON object the code
+    prints last."""
+    proc = spawn_fresh(code, **overrides)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -282,37 +289,50 @@ def test_dist_and_shift_load_no_scipy_package(tmp_path):
 
 
 # records OPENBLAS_NUM_THREADS when numpy is first imported, which is when
-# numpy's OpenBLAS pool reads it, and leaves the import to the next finder
+# numpy's OpenBLAS pool reads it, and leaves the import to the next finder;
+# an atexit hook prints it at the process's exit, with whether the collector
+# was frozen by then
 NUMPY_SPY = (
-    "import json, os, sys\n"
+    "import atexit, gc, json, os, sys\n"
     "seen = []\n"
     "class NumpySpy:\n"
     "    def find_spec(self, name, path=None, target=None):\n"
     "        if name == 'numpy' and not seen:\n"
     "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     "sys.meta_path.insert(0, NumpySpy())\n"
+    "atexit.register(lambda: print(json.dumps([*seen, gc.get_freeze_count() > 0])))\n"
 )
 
 
 @pytest.mark.parametrize("user, seen", [(None, "1"), ("2", "2")])
 def test_tmd_runs_blas_single_threaded_unless_set(tmp_path, user, seen):
-    # both ways of running `tmd`: python -m and the console script
+    # both ways of running `tmd`: python -m and the console script. Each ends
+    # its process through the frozen exit, which still runs atexit hooks
+    # after flushing what the run printed, and keeps the exit code and the
+    # error message of a failing run
     entry_points = [
         "import runpy\nrunpy.run_module('treemover.cli', run_name='__main__', alter_sys=True)\n",
         console_script_command("tmd")[2],
     ]
     argv = dist_argv(tmp_path)
+    out = tmp_path / "m.csv"
+    too_deep = [*argv, "--weights", "pascal:99999999999"]
+    hook = json.dumps([seen, True])
     for run in entry_points:
-        (tmp_path / "m.csv").unlink(missing_ok=True)
-        code = (NUMPY_SPY
-                + f"sys.argv = ['tmd', *{argv!r}]\n"
-                + "try:\n"
-                + f"    exec({run!r})\n"
-                + "except SystemExit as exc:\n"
-                + "    seen.append(exc.code)\n"
-                + "print(json.dumps(seen))\n")
-        assert run_fresh(code, OPENBLAS_NUM_THREADS=user) == [seen, 0], run
-        assert (tmp_path / "m.csv").exists()
+        out.unlink(missing_ok=True)
+        for args in (argv, too_deep):
+            proc = spawn_fresh(NUMPY_SPY + f"sys.argv = ['tmd', *{args!r}]\n" + run,
+                               OPENBLAS_NUM_THREADS=user)
+            if args is argv:
+                assert (proc.returncode, proc.stderr) == (0, ""), run
+                assert proc.stdout.splitlines() == [f"wrote {out}", hook], run
+                assert out.exists()
+            else:
+                assert proc.returncode == 3, run
+                assert proc.stderr == ("error: bad weights 'pascal:99999999999': pascal "
+                                       "schedule depth must be at most 10000, got "
+                                       "99999999999\n"), run
+                assert proc.stdout.splitlines() == [hook], run
 
 
 def test_every_export_resolves_to_its_submodule_object():

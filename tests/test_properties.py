@@ -431,13 +431,15 @@ def test_option_values_end_in_a_documented_exit(tmp_path, option, x, depth):
 
 INTEGERS = (0, -1, 2**31, 2**63, 10**30)
 # the values tried per option; workers are capped by the row count, so
-# --threads 10**30 forks a handful, and pascal:1100 builds its table quickly
+# --threads 10**30 forks a handful, pascal:1100 builds its table quickly and
+# a DEPTH above the cap of 10,000 exits 3 before any table is built
 OPTION_TEXTS = {
     **{option: INTEGERS for option in ("knn --k", "cluster --k", "cluster --seed",
                                        "wl --iterations", "lipschitz --pairs",
                                        "lipschitz --seed", "dist --threads", "dist --mode")},
     "dist --weights": ("constant:", "constant:1,2", "pascal:", "pascal:2,", "pascal:1e3",
-                       "pascal:0", "pascal:1100", "pascal:3,1,2", "linear:1"),
+                       "pascal:0", "pascal:1100", "pascal:10001", "pascal:99999999999",
+                       "pascal:3,1,2", "linear:1"),
     "perturb --feature": ("{}", "[{}]", '"x"', "null", "[1e999]", "[]", "[[1.0]]"),
 }
 

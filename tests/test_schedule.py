@@ -4,7 +4,7 @@ import pytest
 
 from treemover import (ConfigError, TmdConfig, WeightSchedule, constant_weights,
                        pascal_weights, pascal_weights_scaled)
-from treemover.schedule import positive_finite
+from treemover.schedule import PASCAL_MAX_DEPTH, positive_finite
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, float("inf"), float("nan")])
@@ -71,6 +71,22 @@ def test_pascal_rejects_bad_args():
         pascal_weights(4, 5e-324)
     assert pascal_weights(1, 1e308).weight(1) == 1e308
     assert pascal_weights(1, 5e-324).weight(1) == 5e-324
+
+
+def test_pascal_depth_is_capped_before_any_table_is_built():
+    assert PASCAL_MAX_DEPTH == 10_000
+    s = pascal_weights(10_000)
+    assert s.max_level() == 10_000
+    assert s.weight(1) == 1.0 / 10_000 and s.weight(10_000) == 10_000.0
+    for depth in (10_001, 99999999999):
+        with pytest.raises(ConfigError, match=rf"^pascal schedule depth must be at "
+                                              rf"most 10000, got {depth}$"):
+            pascal_weights(depth)
+    # the scaled schedule shares the cap, and checks it before reading its scales
+    assert pascal_weights_scaled(10_000, [1.0] * 10_000) == WeightSchedule(
+        "pascal_scaled", table=s.table)
+    with pytest.raises(ConfigError, match=r"^pascal schedule depth must be at most 10000"):
+        pascal_weights_scaled(10_001, None)
 
 
 def test_pascal_out_of_range_level_errors():
