@@ -74,7 +74,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import AttributedGraph, check_feature_dims, graph_key, group_indices, neighbor_index
+from .graphs import (AttributedGraph, check_feature_dims, check_node, graph_key, group_indices,
+                     neighbor_index)
 from .schedule import ConfigError, TmdConfig
 
 
@@ -386,10 +387,8 @@ def build_distance_tables(ga, gb, cfg):
 
 def tree_distance(ga, u, gb, v, depth, cfg):
     """Distance between the depth-`depth` trees rooted at u in ga and v in gb."""
-    if not (0 <= u < ga.node_count):
-        raise IndexError(f"node {u} out of range for {ga.node_count} nodes")
-    if not (0 <= v < gb.node_count):
-        raise IndexError(f"node {v} out of range for {gb.node_count} nodes")
+    check_node(ga, u)
+    check_node(gb, v)
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
     tables = build_distance_tables(ga, gb, local)
     return float(tables[-1].dist[u, v])
@@ -423,8 +422,7 @@ def tree_norm_levels(g, depth, cfg):
 
 def tree_norm(g, v, depth, cfg):
     """Distance between the depth-`depth` tree rooted at v and the blank tree."""
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
+    check_node(g, v)
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
     p = prepare_graph(g)
     warn_zero_features(int(p.zero_features), 1)

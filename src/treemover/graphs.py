@@ -151,16 +151,19 @@ def neighbor_index(g):
     return deg, pad
 
 
+def check_node(g, v):
+    """IndexError naming v unless v is a node of g: an integer in 0..n-1."""
+    if not (isinstance(v, (int, np.integer)) and 0 <= v < g.node_count):
+        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
+
+
 def drop_node(g, v):
     """Remove node v and its incident edges; higher indices shift down by one."""
-    n = g.node_count
-    if not (0 <= v < n):
-        raise IndexError(f"node {v} out of range for {n} nodes")
-    keep = [i for i in range(n) if i != v]
-    feats = g.features[keep]
+    check_node(g, v)
+    keep = [i for i in range(g.node_count) if i != v]
     remap = {old: new for new, old in enumerate(keep)}
     edges = [(remap[a], remap[b]) for a, b in g.edges if a != v and b != v]
-    return AttributedGraph(feats, edges)
+    return AttributedGraph(g.features[keep], edges)
 
 
 def drop_edge(g, u, v):
@@ -174,8 +177,7 @@ def drop_edge(g, u, v):
 def perturb_feature(g, v, x):
     """Replace node v's feature vector with x, a vector of the graph's
     dimension of numbers (not strings or bools, which numpy would convert)."""
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
+    check_node(g, v)
     try:
         row = np.asarray(x, dtype=np.float64)
         ok = row.shape == (g.feature_dim,) and np.asarray(x).dtype.kind in "iufO"

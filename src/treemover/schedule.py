@@ -141,6 +141,13 @@ def pascal_weights_scaled(depth, scales):
 _MODES = ("sum", "mean")
 
 
+def check_depth(depth):
+    """depth as an int; ConfigError unless it is an integer >= 1."""
+    if int(depth) != depth or depth < 1:
+        raise ConfigError(f"depth must be an integer >= 1, got {depth}")
+    return int(depth)
+
+
 @dataclass(frozen=True)
 class TmdConfig:
     """Distance configuration: tree depth, weight schedule, aggregation mode.
@@ -155,9 +162,7 @@ class TmdConfig:
     mode: str = "sum"
 
     def __post_init__(self):
-        if int(self.depth) != self.depth or self.depth < 1:
-            raise ConfigError(f"depth must be an integer >= 1, got {self.depth}")
-        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "depth", check_depth(self.depth))
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         max_level = self.schedule.max_level()

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import check_feature_dims, neighbor_index
-from .schedule import ConfigError
+from .graphs import check_feature_dims, check_node, neighbor_index
+from .schedule import ConfigError, check_depth
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,8 @@ def computation_tree(g, v, depth):
     Repeated (node, depth) subtrees are shared objects, so the result is a
     DAG of at most node_count * depth distinct trees.
     """
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
-    if int(depth) != depth or depth < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {depth}")
+    check_node(g, v)
+    depth = check_depth(depth)
     memo = {}
 
     def build(u, d):
@@ -53,7 +51,7 @@ def computation_tree(g, v, depth):
             memo[key] = ComputationTree(g.features[u], kids, dep)
         return memo[key]
 
-    return build(v, int(depth))
+    return build(v, depth)
 
 
 def tree_widths(g, v, depth):
@@ -64,11 +62,8 @@ def tree_widths(g, v, depth):
     over the blank-padded neighbour rows (the blank counts 0). Integer sums,
     so exact.
     """
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range for {g.node_count} nodes")
-    if int(depth) != depth or depth < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {depth}")
-    return padded_tree_widths(neighbor_index(g)[1], v, int(depth))
+    check_node(g, v)
+    return padded_tree_widths(neighbor_index(g)[1], v, check_depth(depth))
 
 
 def padded_tree_widths(pad, v, depth):

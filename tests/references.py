@@ -3,15 +3,21 @@
 Each function is the plain loop, or the separate code path, the package used
 before its hot path was vectorized or merged into a shared one; tests
 require byte-equal results, because the new code adds the same values in
-the same order.
+the same order. The references are built from per-cell loops and SciPy's
+public functions, never from the engine: of the package they read only
+`graph_key`, `ot._padded_matrix` and `ot._peel_flows`.
+
+`reference_tables` and `reference_tmd` are the one reference of the
+distance. Every transport in them, the graph-level one included, goes
+through `_reference_cost`, their only assignment call.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
-from treemover import build_distance_tables
 from treemover.graphs import graph_key
-from treemover.ot import _peel_flows
+from treemover.ot import _padded_matrix, _peel_flows
 
 
 def _lex_sorted(rows):
@@ -56,34 +62,74 @@ def reference_tree_widths(g, v, depth):
     return np.asarray(widths, dtype=np.int64)
 
 
-def reference_final_cost(last, na, nb, mean):
-    """The graph-level transport over the last (na + 1, nb + 1) table, solved
-    apart from the child transports: one assignment over the padded matrix
-    of the root trees, the blank row or column summed when a graph is empty,
-    and 0 for two empty graphs."""
-    if not (na or nb):
+def _reference_cost(core, row_norms, col_norms, mean):
+    """Augmented transport of one child (or root) cost matrix core, padded
+    with the blank's row_norms and col_norms: one assignment over the padded
+    matrix, the norms summed when a side is empty, and 0 for two empty
+    sides."""
+    m, n = core.shape
+    s = max(m, n)
+    if s == 0:
         return 0.0
-    s = max(na, nb)
-    if na == 0:
-        total = float(last[na, :nb].sum())
-    elif nb == 0:
-        total = float(last[:na, nb].sum())
+    if m == 0:
+        total = float(col_norms.sum())
+    elif n == 0:
+        total = float(row_norms.sum())
     else:
-        # indices past the smaller side stop at its blank row or column
-        pick = np.arange(s)
-        c = last[np.minimum(pick, na)[:, None], np.minimum(pick, nb)]
+        c = core if m == n else _padded_matrix(core, row_norms, col_norms)
         rows, cols = linear_sum_assignment(c)
         total = float(c[rows, cols].sum())
     return total / s if mean else total
 
 
+def reference_tables(ga, gb, cfg):
+    """`build_distance_tables` as (n_a + 1, n_b + 1) arrays, by one np.ix_
+    gather and one transport per node pair."""
+    na, nb = ga.node_count, gb.node_count
+    mean = cfg.mode == "mean"
+    base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))
+    norm_a = np.linalg.norm(ga.features, axis=1)
+    norm_b = np.linalg.norm(gb.features, axis=1)
+    first = np.zeros((na + 1, nb + 1))
+    first[:na, :nb] = base
+    first[:na, nb] = norm_a
+    first[na, :nb] = norm_b
+    tables = [first]
+    nbrs_a = [np.asarray(a, dtype=np.intp) for a in ga.neighbors]
+    nbrs_b = [np.asarray(b, dtype=np.intp) for b in gb.neighbors]
+    for k in range(2, cfg.depth + 1):
+        w = cfg.schedule.weight(k - 1)
+        prev = tables[-1]
+        cur = np.zeros((na + 1, nb + 1))
+        for u in range(na):
+            agg = float(prev[nbrs_a[u], nb].sum())
+            if mean and len(nbrs_a[u]):
+                agg /= len(nbrs_a[u])
+            cur[u, nb] = norm_a[u] + w * agg
+        for v in range(nb):
+            agg = float(prev[na, nbrs_b[v]].sum())
+            if mean and len(nbrs_b[v]):
+                agg /= len(nbrs_b[v])
+            cur[na, v] = norm_b[v] + w * agg
+        for u in range(na):
+            au = nbrs_a[u]
+            for v in range(nb):
+                bv = nbrs_b[v]
+                child = _reference_cost(prev[np.ix_(au, bv)], prev[au, nb],
+                                        prev[na, bv], mean)
+                cur[u, v] = base[u, v] + w * child
+        tables.append(cur)
+    return tables
+
+
 def reference_tmd(ga, gb, cfg):
-    """`tmd` with its graph-level transport by `reference_final_cost` over
-    the last table of the pair in canonical order."""
+    """`tmd`: the pair in canonical order, and the graph-level transport of
+    its root trees over the last `reference_tables` table."""
     if graph_key(gb) < graph_key(ga):
         ga, gb = gb, ga
-    last = build_distance_tables(ga, gb, cfg)[-1].dist
-    return reference_final_cost(last, ga.node_count, gb.node_count, cfg.mode == "mean")
+    na, nb = ga.node_count, gb.node_count
+    last = reference_tables(ga, gb, cfg)[-1]
+    return _reference_cost(last[:na, :nb], last[:na, nb], last[na, :nb], cfg.mode == "mean")
 
 
 def reference_solve_transport(c, a, b):

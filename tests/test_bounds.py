@@ -109,6 +109,10 @@ def test_node_drop_bad_index():
         node_drop_bound(g, 2, unit_cfg(2))
     with pytest.raises(IndexError):
         node_drop_bound(g, -1, unit_cfg(2))
+    with pytest.raises(IndexError, match="node 0.5 out of range for 2 nodes"):
+        node_drop_bound(g, 0.5, unit_cfg(2))
+    with pytest.raises(IndexError, match="node 1.5 out of range for 2 nodes"):
+        node_perturbation_bound(g, 1.5, [0.0], unit_cfg(2))
 
 
 # --- edge drop ---

@@ -1,14 +1,17 @@
-"""The dynamic-programming distance: frozen examples, metric laws, naive parity."""
+"""The dynamic-programming distance: frozen examples, metric laws, naive
+parity, byte-for-byte parity with the per-cell reference and native-call
+counts."""
 
+import ast
 import cProfile
 import pstats
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 import treemover.distance as distance_module
 from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
@@ -18,10 +21,9 @@ from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
                        pascal_weights, permute_nodes, random_gin, random_graph,
                        shift_report, tmd, tree_distance, tree_norm, tree_norm_levels)
 from treemover.graphs import graph_key
-from treemover.ot import _padded_matrix
 
 from conftest import load_fixture
-from references import reference_tmd
+from references import reference_tables, reference_tmd
 
 W1 = constant_weights(1.0)
 
@@ -106,17 +108,16 @@ def test_level1_table_is_feature_distance_plus_norms():
 
 
 def test_table_norm_columns_match_tree_norm():
-    ga = random_graph(5, 0.6, 2, seed=8)
-    gb = random_graph(4, 0.6, 2, seed=9)
+    # tree_norm builds a graph's tables per call: one node a side and depth
     for mode in ("sum", "mean"):
-        tables = build_distance_tables(ga, gb, cfg(3, mode))
-        for depth, table in zip((1, 2, 3), tables):
-            for u in range(5):
-                assert table.norms_a[u] == pytest.approx(
-                    tree_norm(ga, u, depth, cfg(depth, mode)), rel=1e-12)
-            for v in range(4):
-                assert table.norms_b[v] == pytest.approx(
-                    tree_norm(gb, v, depth, cfg(depth, mode)), rel=1e-12)
+        c = TmdConfig(4, pascal_weights(4), mode)
+        for ga, gb in _differential_pairs():
+            for depth, ref in enumerate(reference_tables(ga, gb, c), start=1):
+                for g, norms in ((ga, ref[:-1, -1]), (gb, ref[-1, :-1])):
+                    if g.node_count:
+                        v = depth % g.node_count
+                        assert np.float64(tree_norm(g, v, depth, c)).tobytes() == \
+                            norms[v].tobytes()
 
 
 def test_edge_pair_tree_norms_depth2():
@@ -134,6 +135,10 @@ def test_path3_center_vs_leaf_tree_distance():
     assert tree_distance(p3, 0, p3, 2, 2, cfg(2)) == 0.0  # the two leaves agree
     with pytest.raises(IndexError):
         tree_distance(p3, 3, p3, 0, 2, cfg(2))
+    with pytest.raises(IndexError, match="node 1.5 out of range for 3 nodes"):
+        tree_distance(p3, 0, p3, 1.5, 2, cfg(2))
+    with pytest.raises(IndexError, match="node 0.5 out of range for 3 nodes"):
+        tree_norm(p3, 0.5, 2, cfg(2))
 
 
 def test_isolated_node_norm_is_feature_norm_any_depth():
@@ -345,72 +350,24 @@ def test_naive_size_guard():
     assert naive_tmd(big, big, cfg(2), max_nodes=12) == 0.0
 
 
-# ------------------------------------------------ per-cell reference program
+# --------------------------------------------- against tests/references.py
+#
+# The engine's tables, norms and graph-level transports, byte for byte
+# against the per-cell loops of `references.reference_tables` and
+# `reference_tmd`, and its native assignment calls counted by cProfile.
 
 
-def _reference_cost(core, row_norms, col_norms, mean):
-    """Augmented transport of one padded child (or root) cost matrix."""
-    m, n = core.shape
-    s = max(m, n)
-    if s == 0:
-        return 0.0
-    if m == 0:
-        total = float(col_norms.sum())
-    elif n == 0:
-        total = float(row_norms.sum())
-    else:
-        c = core if m == n else _padded_matrix(core, row_norms, col_norms)
-        rows, cols = linear_sum_assignment(c)
-        total = float(c[rows, cols].sum())
-    return total / s if mean else total
-
-
-def _reference_tables(ga, gb, c):
-    """Depth tables by one np.ix_ gather and one transport per node pair."""
-    na, nb = ga.node_count, gb.node_count
-    mean = c.mode == "mean"
-    base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))
-    norm_a = np.linalg.norm(ga.features, axis=1)
-    norm_b = np.linalg.norm(gb.features, axis=1)
-    first = np.zeros((na + 1, nb + 1))
-    first[:na, :nb] = base
-    first[:na, nb] = norm_a
-    first[na, :nb] = norm_b
-    tables = [first]
-    nbrs_a = [np.asarray(a, dtype=np.intp) for a in ga.neighbors]
-    nbrs_b = [np.asarray(b, dtype=np.intp) for b in gb.neighbors]
-    for k in range(2, c.depth + 1):
-        w = c.schedule.weight(k - 1)
-        prev = tables[-1]
-        cur = np.zeros((na + 1, nb + 1))
-        for u in range(na):
-            agg = float(prev[nbrs_a[u], nb].sum())
-            if mean and len(nbrs_a[u]):
-                agg /= len(nbrs_a[u])
-            cur[u, nb] = norm_a[u] + w * agg
-        for v in range(nb):
-            agg = float(prev[na, nbrs_b[v]].sum())
-            if mean and len(nbrs_b[v]):
-                agg /= len(nbrs_b[v])
-            cur[na, v] = norm_b[v] + w * agg
-        for u in range(na):
-            au = nbrs_a[u]
-            for v in range(nb):
-                bv = nbrs_b[v]
-                child = _reference_cost(prev[np.ix_(au, bv)], prev[au, nb],
-                                        prev[na, bv], mean)
-                cur[u, v] = base[u, v] + w * child
-        tables.append(cur)
-    return tables
-
-
-def _reference_tmd(ga, gb, c):
-    if graph_key(gb) < graph_key(ga):
-        ga, gb = gb, ga
-    na, nb = ga.node_count, gb.node_count
-    last = _reference_tables(ga, gb, c)[-1]
-    return _reference_cost(last[:na, :nb], last[:na, nb], last[na, :nb],
-                           c.mode == "mean")
+def test_reference_reads_nothing_of_the_engine():
+    tree = ast.parse(Path(__file__).with_name("references.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {(node.module, alias.name) for alias in node.names}
+    assert {(m, a) for m, a in names if m.split(".")[0] == "treemover"} == {
+        ("treemover.graphs", "graph_key"), ("treemover.ot", "_padded_matrix"),
+        ("treemover.ot", "_peel_flows")}
 
 
 def _differential_pairs():
@@ -441,13 +398,19 @@ def test_tables_bitwise_equal_per_cell_reference(mode):
         for ga, gb in _differential_pairs():
             for a, b in ((ga, gb), (gb, ga)):
                 got = build_distance_tables(a, b, c)
-                want = _reference_tables(a, b, c)
+                want = reference_tables(a, b, c)
                 assert [t.depth for t in got] == [1, 2, 3, 4]
                 for t, ref in zip(got, want):
                     assert t.dist.tobytes() == ref.tobytes()
+                # tree_distance builds a pair's tables per call: one cell a depth
+                for depth, ref in enumerate(want, start=1):
+                    if a.node_count and b.node_count:
+                        u, v = depth % a.node_count, 3 * depth % b.node_count
+                        got_cell = tree_distance(a, u, b, v, depth, c)
+                        assert np.float64(got_cell).tobytes() == ref[u, v].tobytes()
             for depth in (1, 2, 3, 4):
                 cd = TmdConfig(depth, schedule, mode)
-                want = _reference_tmd(ga, gb, cd)
+                want = reference_tmd(ga, gb, cd)
                 assert np.float64(tmd(ga, gb, cd)).tobytes() == np.float64(want).tobytes()
                 assert tmd(gb, ga, cd) == tmd(ga, gb, cd)
 
@@ -457,41 +420,8 @@ def test_norm_levels_bitwise_equal_per_node_loop(mode):
     c = TmdConfig(4, pascal_weights(4), mode)
     for g in {g for pair in _differential_pairs() for g in pair}:
         got = tree_norm_levels(g, 4, c)
-        want = _reference_tables(g, AttributedGraph(np.zeros((0, 3)), []), c)
+        want = reference_tables(g, AttributedGraph(np.zeros((0, 3)), []), c)
         assert [lv.tobytes() for lv in got] == [t[:-1, -1].tobytes() for t in want]
-
-
-def test_one_assignment_per_child_transport_and_final(monkeypatch):
-    calls = []
-
-    def counting(c):
-        calls.append(c.shape)
-        return linear_sum_assignment(c)
-
-    monkeypatch.setattr(distance_module, "linear_sum_assignment", counting)
-    for ga, gb in _differential_pairs():
-        with_children = [sum(len(a) > 0 for a in g.neighbors) for g in (ga, gb)]
-        for depth in (1, 2, 3, 4):
-            calls.clear()
-            tmd(ga, gb, cfg(depth))
-            final = int(ga.node_count > 0 and gb.node_count > 0)
-            assert len(calls) == (depth - 1) * with_children[0] * with_children[1] + final
-
-
-def test_profiler_sees_one_assignment_per_child_transport_and_final():
-    # the native function is a builtin: a profiler counts its calls only when
-    # Python code makes them, not when map() or another C function does, so
-    # the monkeypatched count above cannot stand in for this one
-    for ga, gb in _differential_pairs():
-        with_children = [sum(len(a) > 0 for a in g.neighbors) for g in (ga, gb)]
-        for depth in (1, 3):
-            profile = cProfile.Profile()
-            profile.runcall(tmd, ga, gb, cfg(depth))
-            seen = sum(stat[1] for (path, _, func), stat
-                       in pstats.Stats(profile).stats.items()
-                       if path == "~" and func.endswith("linear_sum_assignment>"))
-            final = int(ga.node_count > 0 and gb.node_count > 0)
-            assert seen == (depth - 1) * with_children[0] * with_children[1] + final
 
 
 def _profiled_assignments(fn, *args):
@@ -502,23 +432,70 @@ def _profiled_assignments(fn, *args):
                if path == "~" and func.endswith("linear_sum_assignment>"))
 
 
-def _with_children(g):
-    return sum(len(a) > 0 for a in g.neighbors)
+def _expected_assignments(ga, gb, depth):
+    """One native call per child transport of two trees with children at
+    depths 2..depth, and one for the final transport of two non-empty graphs."""
+    with_children = [sum(len(a) > 0 for a in g.neighbors) for g in (ga, gb)]
+    final = int(ga.node_count > 0 and gb.node_count > 0)
+    return (depth - 1) * with_children[0] * with_children[1] + final
+
+
+def test_profiler_sees_one_assignment_per_child_transport_and_final():
+    # the native function is a builtin: a profiler counts its calls only when
+    # Python code makes them, not when map() or another C function does
+    for ga, gb in _differential_pairs():
+        for depth in (1, 2, 3, 4):
+            seen = _profiled_assignments(tmd, ga, gb, cfg(depth))
+            assert seen == _expected_assignments(ga, gb, depth)
 
 
 def test_profiler_sees_one_assignment_per_child_transport_across_a_matrix():
     graphs = _differential_graphs()
-    n, half = len(graphs), len(graphs) // 2
-    for depth in (1, 3):
-        def per_pair(i, j):
-            final = int(graphs[i].node_count > 0 and graphs[j].node_count > 0)
-            return (depth - 1) * _with_children(graphs[i]) * _with_children(graphs[j]) + final
-
+    rows, cols = graphs[:len(graphs) // 2], graphs[len(graphs) // 2:]
+    for depth in (1, 2, 3, 4):
         seen = _profiled_assignments(pairwise_tmd, GraphDataset(graphs), None, cfg(depth))
-        assert seen == sum(per_pair(i, j) for i in range(n) for j in range(i + 1, n))
-        seen = _profiled_assignments(pairwise_tmd, GraphDataset(graphs[:half]),
-                                     GraphDataset(graphs[half:]), cfg(depth), 1)
-        assert seen == sum(per_pair(i, j) for i in range(half) for j in range(half, n))
+        assert seen == sum(_expected_assignments(ga, gb, depth)
+                           for i, ga in enumerate(graphs) for gb in graphs[i + 1:])
+        seen = _profiled_assignments(pairwise_tmd, GraphDataset(rows),
+                                     GraphDataset(cols), cfg(depth), 1)
+        assert seen == sum(_expected_assignments(ga, gb, depth) for ga in rows for gb in cols)
+
+
+def _counting_assignments(monkeypatch):
+    """The shapes of every call through `distance.linear_sum_assignment`,
+    made from Python or from C, once the module's name is patched."""
+    calls = []
+
+    def counting(c):
+        calls.append(c.shape)
+        return linear_sum_assignment(c)
+
+    monkeypatch.setattr(distance_module, "linear_sum_assignment", counting)
+    return calls
+
+
+def test_one_assignment_per_child_transport_and_final(monkeypatch):
+    calls = _counting_assignments(monkeypatch)
+    for ga, gb in _differential_pairs():
+        for depth in (1, 2, 3, 4):
+            calls.clear()
+            tmd(ga, gb, cfg(depth))
+            assert len(calls) == _expected_assignments(ga, gb, depth)
+
+
+def test_one_assignment_per_child_transport_across_a_matrix(monkeypatch):
+    calls = _counting_assignments(monkeypatch)
+    graphs = _differential_graphs()
+    rows, cols = graphs[:len(graphs) // 2], graphs[len(graphs) // 2:]
+    for depth in (1, 2, 3, 4):
+        calls.clear()
+        pairwise_tmd(GraphDataset(graphs), None, cfg(depth))
+        assert len(calls) == sum(_expected_assignments(ga, gb, depth)
+                                 for i, ga in enumerate(graphs) for gb in graphs[i + 1:])
+        calls.clear()
+        pairwise_tmd(GraphDataset(rows), GraphDataset(cols), cfg(depth))
+        assert len(calls) == sum(_expected_assignments(ga, gb, depth)
+                                 for ga in rows for gb in cols)
 
 
 def test_profiler_sees_one_assignment_per_child_transport_of_a_certificate():
@@ -529,8 +506,7 @@ def test_profiler_sees_one_assignment_per_child_transport_of_a_certificate():
             edited = drop_node(g, v)
             for depth in (1, 3):
                 seen = _profiled_assignments(node_drop_bound, g, v, cfg(depth))
-                final = int(edited.node_count > 0)
-                assert seen == (depth - 1) * _with_children(g) * _with_children(edited) + final
+                assert seen == _expected_assignments(g, edited, depth)
 
 
 @pytest.mark.parametrize("mode", ["sum", "mean"])
@@ -556,31 +532,6 @@ def _differential_batch():
     graphs = [(a, b) for ga, gb in _differential_pairs() for a, b in ((ga, gb), (gb, ga))]
     prepared = {g: distance_module.prepare_graph(g) for pair in graphs for g in pair}
     return graphs, [(prepared[a], prepared[b]) for a, b in graphs]
-
-
-def test_one_assignment_per_child_transport_across_a_matrix(monkeypatch):
-    calls = []
-
-    def counting(c):
-        calls.append(c.shape)
-        return linear_sum_assignment(c)
-
-    monkeypatch.setattr(distance_module, "linear_sum_assignment", counting)
-    graphs = _differential_graphs()
-    with_children = [sum(len(a) > 0 for a in g.neighbors) for g in graphs]
-    half = len(graphs) // 2
-    for depth in (1, 2, 3, 4):
-        def per_pair(i, j):
-            final = int(graphs[i].node_count > 0 and graphs[j].node_count > 0)
-            return (depth - 1) * with_children[i] * with_children[j] + final
-
-        calls.clear()
-        pairwise_tmd(GraphDataset(graphs), None, cfg(depth))
-        n = len(graphs)
-        assert len(calls) == sum(per_pair(i, j) for i in range(n) for j in range(i + 1, n))
-        calls.clear()
-        pairwise_tmd(GraphDataset(graphs[:half]), GraphDataset(graphs[half:]), cfg(depth))
-        assert len(calls) == sum(per_pair(i, j) for i in range(half) for j in range(half, n))
 
 
 def test_child_buckets_hold_every_eligible_pair_once():
@@ -713,7 +664,7 @@ def test_batch_tables_bitwise_equal_per_cell_reference(mode):
                 for (a, b), lo in zip(graphs, starts)]
         assert ends[-1] == len(tables[-1])
         for (a, b), lo, hi in zip(graphs, starts, ends):
-            want = _reference_tables(a, b, c)
+            want = reference_tables(a, b, c)
             assert [t[lo:hi].tobytes() for t in tables] == [t.tobytes() for t in want]
 
 

@@ -80,6 +80,10 @@ def test_drop_node_reindexes():
     assert h.edges == ((0, 1),)
     with pytest.raises(IndexError):
         drop_node(g, 3)
+    for v in (1.5, 1.0, "1", None):
+        with pytest.raises(IndexError, match=f"node {v} out of range for 3 nodes"):
+            drop_node(g, v)
+    assert drop_node(g, np.int64(1)) == drop_node(g, 1)
 
 
 def test_drop_edge():

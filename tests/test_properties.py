@@ -5,7 +5,7 @@ Graphs have at most 12 nodes, so degrees reach 11, and features drawn from
 pass and tree widths must equal their per-node reference loops bitwise, the
 forward pass must be bitwise invariant to node relabelling, and a pair's
 distance must not depend on the other pairs of its batch and must equal the
-graph-level transport solved apart over its last table. Every edit bound
+per-cell reference, `references.reference_tmd`. Every edit bound
 covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
 two sides are bitwise `tmd` and the GIN displacement; and `tmd` agrees with
 the naive recursive evaluator on graphs of at most 10 nodes, at depth at

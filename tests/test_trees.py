@@ -41,6 +41,8 @@ def test_tree_widths_star():
         tree_width(star, 0, 3, 4)
     with pytest.raises(IndexError):
         tree_widths(star, 4, 3)
+    with pytest.raises(IndexError, match="node 1.5 out of range for 4 nodes"):
+        tree_widths(star, 1.5, 3)
 
 
 def test_tree_widths_path_and_isolated():
@@ -135,5 +137,7 @@ def test_computation_tree_validation():
     g = load_fixture("path3")
     with pytest.raises(IndexError):
         computation_tree(g, 5, 2)
+    with pytest.raises(IndexError, match="node 0.5 out of range for 3 nodes"):
+        computation_tree(g, 0.5, 2)
     with pytest.raises(ValueError):
         computation_tree(g, 0, 0)
