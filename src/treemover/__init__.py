@@ -12,9 +12,9 @@ compiled SciPy modules loaded in the parent, and the workers inherit them
 instead of each loading them again. The API loads no SciPy package: the
 engine and `ot` call SciPy's compiled modules directly (see `distance` and
 `ot`), and the dataset LP loads its HiGHS module when it first runs. Nor
-does it load multiprocessing: `pairwise_tmd` imports its process pool only
-when it forks (see `analysis`). The `tmd` command line imports submodules
-directly and loads only the modules each subcommand uses (see `cli`).
+does it load multiprocessing: `pairwise_tmd` imports it only when it forks
+(see `analysis`). The `tmd` command line imports submodules directly and
+loads only the modules each subcommand uses (see `cli`).
 """
 
 import importlib

@@ -5,50 +5,109 @@ worker count), the optimal transport distance between whole datasets under
 uniform graph masses, and distribution-shift reports ranking test sets by
 that distance. A matrix prepares each graph once in the parent and runs
 each row in batches (`distance.pair_distances`); a shift report computes
-one train x (all test sets) matrix, so it forks at most one worker pool.
-Importing this module loads the engine and the two compiled SciPy modules
-it calls, so a command that forks workers has them loaded before the fork.
-It loads no process pool: `pairwise_tmd` imports one only when it forks,
-so a one-worker matrix loads no multiprocessing. The dataset LP imports
-`ot` and loads SciPy's compiled HiGHS module when it first runs in the
-parent (see `ot`); no SciPy package is loaded.
+one train x (all test sets) matrix, so it forks at most once.
+
+A parallel matrix splits its rows into a fixed set of shares, greedy
+largest-first on the child-cost entries each row gathers
+(`distance.gathered_entries`), a count and never a timing. The parent
+computes share 0 itself, and each other share runs in a multiprocessing
+child that sends its rows back through a pipe, so no process sits idle
+while the matrix runs. Importing this module loads the engine and the two
+compiled SciPy modules it calls, so a command that forks has them loaded
+before the fork. It loads no multiprocessing: `pairwise_tmd` imports it
+only when it forks. The dataset LP imports `ot` and loads SciPy's compiled
+HiGHS module when it first runs in the parent (see `ot`); no SciPy package
+is loaded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distance import pair_distances, prepare_graph, warn_zero_features
+from .distance import gathered_entries, pair_distances, prepare_graph, warn_zero_features
 from .graphs import GraphDataset, check_feature_dims, graph_key
 from .matrix import DistanceMatrix
 from .schedule import ConfigError
 
-_WORKER = None
+
+def _rows(prep_a, prep_b, cfg, share):
+    """The distances of each (i, cols) row of `share`, in order, up to the
+    first row that overflows: (row values, None), or (row values, (i, the
+    row's ConfigError))."""
+    values = []
+    for i, cols in share:
+        try:
+            values.append(pair_distances([(prep_a[i], prep_b[j]) for j in cols], cfg))
+        except ConfigError as exc:
+            return values, (i, exc)
+    return values, None
 
 
-def _init_worker(prep_a, prep_b, cfg):
-    global _WORKER
-    _WORKER = (prep_a, prep_b, cfg)
+def _send_rows(conn, prep_a, prep_b, cfg, share):
+    """A child process's work: `_rows` of its share, sent to the parent."""
+    conn.send(_rows(prep_a, prep_b, cfg, share))
 
 
-def _row(prep_a, prep_b, cfg, i, cols):
-    return i, cols, pair_distances([(prep_a[i], prep_b[j]) for j in cols], cfg)
+def _shares(tasks, weights, count):
+    """`tasks` in `count` shares, greedy largest-first on `weights`, each
+    share in ascending row order. A task goes to the share with the least
+    weight, then the fewest tasks, then the highest index, so no share is
+    empty and the heaviest task is not in share 0."""
+    shares = [[] for _ in range(count)]
+    loads = [0] * count
+    for k in sorted(range(len(tasks)), key=lambda k: -weights[k]):
+        s = min(range(count), key=lambda s: (loads[s], len(shares[s]), -s))
+        shares[s].append(tasks[k])
+        loads[s] += weights[k]
+    return [sorted(share) for share in shares]
 
 
-def _row_task(task):
-    """`_row` in a pool worker, on the records its initializer holds."""
-    return _row(*_WORKER, *task)
+def _forked_rows(prep_a, prep_b, cfg, shares):
+    """`_rows` of each share: share 0 in this process, each other share in a
+    child process that sends its rows back through a pipe. Every child is
+    reaped before this returns or raises, and terminated first if this
+    raises; one that exits without sending its rows raises
+    ChildProcessError, an OSError, so `tmd` exits 2 naming it."""
+    from multiprocessing import Pipe, Process
+
+    children = []
+    try:
+        for share in shares[1:]:
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_send_rows, args=(send, prep_a, prep_b, cfg, share),
+                           daemon=True)
+            proc.start()
+            children.append((proc, recv))
+            send.close()
+        outcomes = [_rows(prep_a, prep_b, cfg, shares[0])]
+        for proc, recv in children:
+            try:
+                outcomes.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"a matrix worker process exited with code "
+                                   f"{proc.exitcode} before sending its rows") from None
+        return outcomes
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
 
 
 def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
     """Distance matrix between two datasets (or within one when ds_b is None).
 
     The self case computes the upper triangle only and mirrors it, with an
-    exactly zero diagonal. Cell values do not depend on `threads`; at most
-    one worker per matrix row is forked. One RuntimeWarning names how many
-    graphs hold all-zero feature vectors. A matrix that overflows raises
-    the ConfigError of its first overflowing row, which names the first
-    depth at which any pair of that row's first overflowing batch overflows.
+    exactly zero diagonal. Cell values do not depend on `threads`: at most
+    `threads` processes compute, this one included, and never more than
+    the matrix has rows. One RuntimeWarning names how many graphs hold
+    all-zero feature vectors. A matrix that overflows raises the
+    ConfigError of its first overflowing row, which names the first depth
+    at which any pair of that row's first overflowing batch overflows.
     """
     self_mode = ds_b is None or ds_b is ds_a
     if not self_mode:
@@ -67,20 +126,22 @@ def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
     warn_zero_features(sum(p.zero_features for p in prepared), len(prepared))
     workers = min(threads, len(tasks))
     if workers <= 1:
-        results = [_row(prep_a, prep_b, cfg, *t) for t in tasks]
+        shares = [tasks]
+        outcomes = [_rows(prep_a, prep_b, cfg, tasks)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(prep_a, prep_b, cfg),
-        ) as pool:
-            results = list(pool.map(_row_task, tasks))
-    for i, cols, vals in results:
-        for j, v in zip(cols, vals):
-            out[i, j] = v
-            if self_mode:
-                out[j, i] = v
+        weights = [sum(gathered_entries(prep_a[i], prep_b[j]) for j in cols)
+                   for i, cols in tasks]
+        shares = _shares(tasks, weights, workers)
+        outcomes = _forked_rows(prep_a, prep_b, cfg, shares)
+    errors = [error for _, error in outcomes if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    for share, (values, _) in zip(shares, outcomes):
+        for (i, cols), vals in zip(share, values):
+            for j, v in zip(cols, vals):
+                out[i, j] = v
+                if self_mode:
+                    out[j, i] = v
     ids_a = tuple(str(i) for i in range(na))
     ids_b = ids_a if self_mode else tuple(str(j) for j in range(nb))
     return DistanceMatrix(out, ids_a, ids_b, cfg)

@@ -24,10 +24,10 @@ from the benchmark text layout (`--name`) loads `tudataset`. gram, knn,
 cluster and wl never load SciPy. dist and shift import `analysis`, which
 loads the engine and the two compiled SciPy modules it calls, and no SciPy
 package, before any worker is forked, so the workers inherit them instead
-of loading them again. They import the process pool only when they fork,
-so at one thread they load no multiprocessing. shift loads SciPy's
-compiled HiGHS module for its dataset LP, after the workers are done, and
-no SciPy package either.
+of loading them again. They import multiprocessing only when they fork,
+so at one thread they load none of it. shift loads SciPy's compiled HiGHS
+module for its dataset LP, after the workers are done, and no SciPy
+package either.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def cmd_perturb(args):
         raise ConfigError(
             "pick exactly one of --drop-node, --drop-edge, --perturb-node"
         )
-    for v in (args.drop_node, args.perturb_node):
+    for v in (args.drop_node, args.perturb_node, *(args.drop_edge or ())):
         if v is not None and not (0 <= v < g.node_count):
             raise ConfigError(f"node {v} out of range for {g.node_count} nodes")
     if args.drop_node is not None:

@@ -452,11 +452,16 @@ def prepared_tmd(a, b, cfg):
 _BATCH_ENTRIES = 1 << 20
 
 
+def gathered_entries(a, b):
+    """The child-cost entries the pair of PreparedGraphs a, b gathers."""
+    return a.node_count * b.node_count * max(a.pad.shape[1], b.pad.shape[1]) ** 2
+
+
 def _batches(pairs):
     """pairs in consecutive batches within _BATCH_ENTRIES, one pair at least."""
     batch, entries = [], 0
     for a, b in pairs:
-        n = a.node_count * b.node_count * max(a.pad.shape[1], b.pad.shape[1]) ** 2
+        n = gathered_entries(a, b)
         if batch and entries + n > _BATCH_ENTRIES:
             yield batch
             batch, entries = [], 0

@@ -167,7 +167,10 @@ def drop_node(g, v):
 
 
 def drop_edge(g, u, v):
-    """Remove the undirected edge {u, v}; errors if it is absent."""
+    """Remove the undirected edge {u, v}; errors unless u and v are nodes of
+    g (`check_node`) and the edge is present."""
+    check_node(g, u)
+    check_node(g, v)
     key = (u, v) if u < v else (v, u)
     if key not in g.edges:
         raise ValueError(f"edge ({u}, {v}) not present")

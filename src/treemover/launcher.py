@@ -16,9 +16,10 @@ needed: each output file is closed before `cli.main` returns. Freezing
 those objects first moves them out of the collector's reach: on the
 benchmark's seed-7 inputs the time from `main` returning to the process's
 exit fell from 23-25 ms to 6 ms for `dist`, `knn` and `cluster`, and from
-33 to 9 ms for a two-worker `shift`. Atexit handlers and the flushing of
-stdout and stderr still run, unlike with `os._exit`. Only the two entry
-points freeze; `cli.main` called from Python keeps a normal collector.
+33 to 9 ms for `shift` at `--threads 2` (then run by a process pool).
+Atexit handlers and the flushing of stdout and stderr still run, unlike
+with `os._exit`. Only the two entry points freeze; `cli.main` called from
+Python keeps a normal collector.
 """
 
 import gc

@@ -1,10 +1,12 @@
 """Dataset-level tooling: pairwise matrices, kernels, W1, shift reports, CSV."""
 
 import gc
+import multiprocessing
+import os
 import re
+import time
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from treemover import (
     load_distance_csv,
     pairwise_tmd,
     pascal_weights,
+    random_graph,
     save_distance_csv,
     shift_report,
     tmd,
@@ -117,34 +120,126 @@ def test_distance_matrix_validation():
     assert not dm.square
 
 
-class RecordingPool(ProcessPoolExecutor):
-    """ProcessPoolExecutor that records the worker count of every pool."""
+class RecordingProcess(multiprocessing.Process):
+    """multiprocessing.Process that records every child process it starts."""
 
-    sizes = []
+    started = []
 
-    def __init__(self, max_workers=None, **kwargs):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
+    def start(self):
+        super().start()
+        RecordingProcess.started.append(self.pid)
 
 
 @pytest.fixture()
-def pools(monkeypatch):
-    RecordingPool.sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    return RecordingPool.sizes
+def children(monkeypatch):
+    """The pids of the child processes the test starts; none may be left
+    running after it."""
+    RecordingProcess.started = []
+    monkeypatch.setattr("multiprocessing.Process", RecordingProcess)
+    yield RecordingProcess.started
+    assert multiprocessing.active_children() == []
 
 
-def test_pairwise_forks_no_idle_workers(pools):
+def test_pairwise_forks_no_idle_workers(children):
+    # min(threads, rows) processes compute, this one included
     ds = make_dataset(4, seed=40)
     eight = pairwise_tmd(ds, None, CFG, threads=8)
-    assert pools == [3]  # three rows hold the upper triangle
+    assert len(children) == 2  # three rows hold the upper triangle
     assert np.array_equal(eight.values, pairwise_tmd(ds, None, CFG, threads=1).values)
-    pools.clear()
+    children.clear()
     pairwise_tmd(make_dataset(2, seed=41), make_dataset(5, seed=42), CFG, threads=8)
-    assert pools == [2]
-    pools.clear()
+    assert len(children) == 1
+    children.clear()
     pairwise_tmd(make_dataset(2, seed=43), None, CFG, threads=8)
-    assert pools == []  # one row runs in this process
+    assert children == []  # one row runs in this process
+
+
+def test_rows_split_greedy_largest_first():
+    tasks = [(i, [i]) for i in range(5)]
+    # 5 -> share 1, 4 and 3 -> share 0, 3 -> share 1, 1 -> share 0: loads 8 and 8
+    assert analysis_module._shares(tasks, [5, 1, 4, 3, 3], 2) == [
+        [(1, [1]), (2, [2]), (3, [3])], [(0, [0]), (4, [4])]]
+    # rows that gather nothing still get one share each
+    assert analysis_module._shares(tasks[:3], [0, 0, 0], 3) == [
+        [(2, [2])], [(1, [1])], [(0, [0])]]
+
+
+# Rows 1 and 3 overflow, at depths 334 and 322; rows 0 and 2 do not.
+OVERFLOW_CFG = TmdConfig(depth=400, schedule=constant_weights(1.0))
+
+
+def overflow_sets():
+    rows = GraphDataset([random_graph(3, 0.0, 3, seed=3), random_graph(12, 0.8, 3, seed=1),
+                         random_graph(4, 0.0, 3, seed=4), random_graph(12, 0.9, 3, seed=0)])
+    return rows, GraphDataset([random_graph(5, 0.0, 3, seed=5)])
+
+
+def overflow_message(threads):
+    with pytest.raises(ConfigError) as info:
+        pairwise_tmd(*overflow_sets(), OVERFLOW_CFG, threads=threads)
+    return str(info.value)
+
+
+def split_rows(monkeypatch, parent_rows):
+    """Make a two-process matrix give this process the rows `parent_rows`
+    and its child the others."""
+    def split(tasks, weights, count):
+        return [[t for t in tasks if t[0] in parent_rows],
+                [t for t in tasks if t[0] not in parent_rows]]
+
+    monkeypatch.setattr(analysis_module, "_shares", split)
+
+
+@pytest.mark.parametrize("parent_rows", [{0, 1}, {2, 3}, {1}, {3}],
+                         ids=["row1-in-parent", "row1-in-child", "only-parent-row1",
+                              "only-parent-row3"])
+def test_overflow_in_either_process_raises_the_serial_error(children, monkeypatch,
+                                                              parent_rows):
+    serial = overflow_message(1)
+    assert "overflow at depth 334 " in serial
+    split_rows(monkeypatch, parent_rows)
+    assert overflow_message(2) == serial
+    assert len(children) == 1
+
+
+def test_overflow_at_any_thread_count_raises_the_serial_error(children):
+    serial = overflow_message(1)
+    for threads in (2, 3, 4):
+        assert overflow_message(threads) == serial
+    assert len(children) == 1 + 2 + 3
+
+
+def _exit_without_rows(conn, *args):
+    os._exit(7)
+
+
+def test_a_child_that_dies_raises_instead_of_hanging(children, monkeypatch):
+    monkeypatch.setattr(analysis_module, "_send_rows", _exit_without_rows)
+    with pytest.raises(ChildProcessError, match=r"^a matrix worker process exited with code 7 "
+                                           r"before sending its rows$"):
+        pairwise_tmd(make_dataset(4, seed=40), None, CFG, threads=3)
+    assert len(children) == 2
+
+
+class Interrupted(BaseException):
+    pass
+
+
+def test_children_are_terminated_when_this_process_is_interrupted(children, monkeypatch):
+    parent, real = os.getpid(), analysis_module._rows
+
+    def rows(*args):
+        if os.getpid() == parent:
+            raise Interrupted
+        time.sleep(60)
+        return real(*args)
+
+    monkeypatch.setattr(analysis_module, "_rows", rows)
+    start = time.monotonic()
+    with pytest.raises(Interrupted):
+        pairwise_tmd(make_dataset(4, seed=40), None, CFG, threads=2)
+    assert time.monotonic() - start < 30
+    assert len(children) == 1
 
 
 def test_serial_matrix_keeps_no_prepared_graph(monkeypatch):
@@ -470,10 +565,15 @@ def test_shift_report_rejects_bad_test_sets():
     assert str(info.value) == str(direct.value)
 
 
-def test_shift_report_forks_one_pool(pools):
+def test_shift_report_forks_once(children):
+    # one matrix of 3 train rows: at 2 threads one child, at 8 one per row
+    # beside this process
     train, tests = shift_sets()
     shift_report(train, tests, CFG, threads=2)
-    assert pools == [2]
+    assert len(children) == 1
+    children.clear()
+    shift_report(train, tests, CFG, threads=8)
+    assert len(children) == 2
 
 
 def path_bin(sizes, name):

@@ -147,6 +147,8 @@ def test_edge_drop_missing_edge():
     g = load_fixture("path3")
     with pytest.raises(ValueError):
         edge_drop_bound(g, 0, 2, unit_cfg(2))
+    with pytest.raises(IndexError, match="node 0.0 out of range for 3 nodes"):
+        edge_drop_bound(g, 0.0, 1, unit_cfg(2))
 
 
 def test_edge_drop_cycle_all_edges_bounded():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import warnings
@@ -23,10 +24,12 @@ from treemover import (
     save_graph_json,
     save_model_json,
 )
+import treemover.analysis as analysis_module
 import treemover.cli as cli_module
 from treemover.cli import main, parse_weights
 
 from conftest import FIXTURES, fixture_path, molecule18
+from test_analysis import _exit_without_rows
 from test_tudataset import write_dataset
 
 
@@ -626,6 +629,8 @@ def test_perturb_drop_node_and_feature(tmp_path):
     ["--drop-node", "-1"],
     ["--perturb-node", "99", "--feature", "[3.0]"],
     ["--perturb-node", "-1", "--feature", "[3.0]"],
+    ["--drop-edge", "99", "0"],
+    ["--drop-edge", "-1", "0"],
 ])
 def test_perturb_node_out_of_range(tmp_path, capsys, edit):
     out = tmp_path / "p.json"
@@ -842,6 +847,16 @@ def test_exit_norm_overflow(tmp_path, capsys):
     assert "tree distances overflow at depth " in err
     assert "constant:1.0 (sum mode)" in err
     assert not out.exists()
+
+
+def test_exit_2_when_a_matrix_worker_dies(two_cluster_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis_module, "_send_rows", _exit_without_rows)
+    out = tmp_path / "m.csv"
+    assert run_dist(two_cluster_dir[0], out, ["--threads", "2"]) == 2
+    assert capsys.readouterr().err == ("error: a matrix worker process exited with code 7 "
+                                       "before sending its rows\n")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_exit_norm_overflow_in_a_batch(tmp_path, capsys):

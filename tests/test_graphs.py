@@ -92,6 +92,10 @@ def test_drop_edge():
     assert h.edges == ((0, 1), (0, 2))
     with pytest.raises(ValueError):
         drop_edge(h, 1, 2)
+    for u, v, bad in ((0.0, 1, 0.0), (0, 1.0, 1.0), (3, 1, 3), (0, "1", 1)):
+        with pytest.raises(IndexError, match=f"node {bad} out of range for 3 nodes"):
+            drop_edge(g, u, v)
+    assert drop_edge(g, np.int64(0), np.int64(1)) == drop_edge(g, 0, 1)
 
 
 def test_perturb_feature_identity_keeps_graph_equal():

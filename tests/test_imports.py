@@ -2,11 +2,11 @@
 package exports. Commands that never solve a transport run without SciPy;
 the distance engine and the first use of the package's public API load only
 the two compiled SciPy modules the engine calls, and the dataset LP only
-SciPy's compiled HiGHS module: no SciPy package is ever loaded. The process
-pool and multiprocessing load only when a matrix forks, and each command
-loads only the treemover modules its work runs. Only the `tmd` entry points
-touch the environment: they run BLAS single-threaded, and end their process
-with the collector frozen.
+SciPy's compiled HiGHS module: no SciPy package is ever loaded.
+Multiprocessing loads only when a matrix forks, concurrent.futures never,
+and each command loads only the treemover modules its work runs. Only the
+`tmd` entry points touch the environment: they run BLAS single-threaded,
+and end their process with the collector frozen.
 
 Each check runs in a new `sys.executable` process, because this test
 process has long since imported every module.
@@ -67,7 +67,7 @@ def loaded_after(code, names):
                      f"print(json.dumps([m for m in {names!r} if m in sys.modules]))")
 
 
-# what a forking matrix loads, and nothing else does
+# a forking matrix loads multiprocessing, and nothing loads concurrent.futures
 POOL = ["concurrent.futures", "multiprocessing"]
 
 
@@ -137,7 +137,7 @@ def test_no_process_pool_before_a_matrix_forks(code):
     assert loaded_after(code, POOL) == []
 
 
-def test_a_forking_matrix_loads_the_pool_and_matches_one_thread():
+def test_a_forking_matrix_loads_multiprocessing_and_matches_one_thread():
     code = ("import json, sys\n"
             "import treemover as tm\n"
             "ds = tm.GraphDataset([tm.random_graph(n, 0.4, 3, n) for n in (4, 6, 7)])\n"
@@ -145,9 +145,9 @@ def test_a_forking_matrix_loads_the_pool_and_matches_one_thread():
             "one = tm.pairwise_tmd(ds, None, cfg, threads=1).values\n"
             f"before = [m for m in {POOL!r} if m in sys.modules]\n"
             "two = tm.pairwise_tmd(ds, None, cfg, threads=2).values\n"
-            "print(json.dumps([before, 'concurrent.futures.process' in sys.modules,\n"
-            "                  one.tobytes() == two.tobytes()]))\n")
-    assert run_fresh(code) == [[], True, True]
+            f"after = [m for m in {POOL!r} if m in sys.modules]\n"
+            "print(json.dumps([before, after, one.tobytes() == two.tobytes()]))\n")
+    assert run_fresh(code) == [[], ["multiprocessing"], True]
 
 
 def test_matrix_commands_load_only_their_own_modules(tmp_path):

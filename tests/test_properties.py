@@ -12,7 +12,7 @@ the naive recursive evaluator on graphs of at most 10 nodes, at depth at
 most 3 (its bitmask assignments make depth 4 on dense graphs slow). In sum
 mode `tmd` is a pseudometric: bitwise symmetric, 0 on a graph and itself,
 and within rounding of the triangle inequality. A matrix's bytes do not
-depend on its worker count (few examples: each one forks a pool). Two
+depend on its worker count (few examples: each one forks). Two
 nodes share a refinement class at depth k exactly when the naive distance
 between their depth-k computation trees is 0 (features hold zeros of both
 signs but no all-zero row), and the order between two graphs' classes does
