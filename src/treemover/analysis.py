@@ -190,8 +190,8 @@ def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
     """Rank test datasets by their transport distance from the training set.
 
     One matrix of the training graphs against the graphs of all test sets
-    together, so a report forks at most one worker pool; each test set's W1
-    is bitwise `dataset_w1(train, test)`. When a Lipschitz product K is
+    together, so a report forks at most once; each test set's W1 is bitwise
+    `dataset_w1(train, test)`. When a Lipschitz product K is
     supplied, each entry also carries the generalisation-gap term 2 * K * W1.
     Entries are sorted by increasing W1. K must be finite and >= 0.
     """

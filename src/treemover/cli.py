@@ -6,8 +6,7 @@ writes it to --out: matrices as CSV (with a `# config:` provenance header),
 reports as JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or
 malformed input files, 3 invalid configuration. Every input kind (graph,
 dataset and model JSON, the benchmark text layout, label files and distance
-CSVs) names `path` or `path:line` in its errors. `TMD_THREADS` sets the
-default worker count.
+CSVs) names `path` or `path:line` in its errors.
 
 The `tmd` process runs BLAS single-threaded (see `launcher`): the `tmd`
 script and `python -m treemover.cli` both set `OPENBLAS_NUM_THREADS=1`,
@@ -81,14 +80,6 @@ def parse_weights(text):
     except ValueError as exc:
         raise ConfigError(f"bad weights {text!r}: {exc}") from exc
     raise ConfigError(f"unknown weight schedule kind {kind!r}")
-
-
-def _default_threads():
-    raw = os.environ.get("TMD_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise ConfigError(f"TMD_THREADS must be an integer, got {raw!r}")
 
 
 def load_dataset(path, name=None):
@@ -251,14 +242,11 @@ def cmd_lipschitz(args):
         "entries": entries,
         "holds": all(e["holds"] for e in entries),
     }
-    positive = [d > 1e-12 for d in dists]
-    report["empirical_lipschitz"] = (
-        empirical_lipschitz(lhs, dists) if any(positive) else None
-    )
-    try:
-        report["pearson_r"] = pearson_r(lhs, dists)
-    except ValueError:
-        report["pearson_r"] = None
+    for key, stat in (("empirical_lipschitz", empirical_lipschitz), ("pearson_r", pearson_r)):
+        try:
+            report[key] = stat(lhs, dists)
+        except ValueError:
+            report[key] = None
     return report
 
 
@@ -273,9 +261,6 @@ def cmd_perturb(args):
         raise ConfigError(
             "pick exactly one of --drop-node, --drop-edge, --perturb-node"
         )
-    for v in (args.drop_node, args.perturb_node, *(args.drop_edge or ())):
-        if v is not None and not (0 <= v < g.node_count):
-            raise ConfigError(f"node {v} out of range for {g.node_count} nodes")
     if args.drop_node is not None:
         rep = node_drop_bound(g, args.drop_node, cfg)
         detail = {"node": args.drop_node}
@@ -327,7 +312,7 @@ def build_parser():
         ("--depth", dict(type=int, required=True, help="tree depth L of the distance")),
         ("--weights", dict(required=True, help="'constant:C' or 'pascal:DEPTH[,EPSILON]'")),
         ("--mode", dict(choices=("sum", "mean"), default="sum")))
-    pool = _flags(("--threads", dict(type=int, default=None)),
+    pool = _flags(("--threads", dict(type=int, default=1)),
                   ("--standardize", dict(action="store_true")))
     matrix = _flags(("--matrix", dict(required=True)))
     seed = _flags(("--seed", dict(type=int, default=0)))
@@ -395,8 +380,6 @@ def main(argv=None):
     """
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) is None:  # dist, shift without --threads
-            args.threads = _default_threads()
         result = args.func(args)
         if isinstance(result, dict):
             write_json(args.out, result)
@@ -408,7 +391,7 @@ def main(argv=None):
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:  # IndexError: graphs.check_node
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {args.out}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
 from .graphs import (DatasetFormatError, group_indices, load_json, neighbor_index,
-                     write_json)
+                     number_array, write_json)
 from .schedule import (ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled,
                        positive_finite)
 
@@ -94,17 +94,17 @@ class GinModel:
 
 
 def _as_layer(weight, bias, neighbor_weight=None):
-    w = np.asarray(weight, dtype=np.float64)
+    w = number_array(weight, "layer weight")
     if w.ndim != 2:
         raise ValueError(f"layer weight must be 2-D, got shape {w.shape}")
-    b = np.asarray(bias, dtype=np.float64).reshape(-1)
+    b = number_array(bias, "bias").reshape(-1)
     if b.shape[0] != w.shape[0]:
         raise ValueError(
             f"bias length {b.shape[0]} does not match weight rows {w.shape[0]}"
         )
     nw = None
     if neighbor_weight is not None:
-        nw = np.asarray(neighbor_weight, dtype=np.float64)
+        nw = number_array(neighbor_weight, "neighbor weight")
         if nw.shape != (w.shape[1], w.shape[1]):
             raise ValueError(
                 f"neighbor weight must be square on the layer input "
@@ -125,7 +125,7 @@ def make_gin(layers, readout, epsilon=1.0, aggregation="sum"):
         raise ConfigError(
             f"aggregation must be one of {_AGGREGATIONS}, got {aggregation!r}"
         )
-    epsilon = positive_finite("epsilon", epsilon)
+    epsilon = positive_finite("epsilon", number_array(epsilon, "epsilon", ndim=0))
     layers = tuple(_as_layer(*_layer_tuple(l)) for l in layers)
     readout = _as_layer(*_layer_tuple(readout))
     if readout.neighbor_weight is not None:
@@ -346,8 +346,8 @@ def model_to_json(model):
 
 def model_from_json(obj):
     """The GinModel of a JSON object: malformed input (missing keys, shapes,
-    non-finite values) raises DatasetFormatError, a bad aggregation or
-    epsilon ConfigError."""
+    values that are not finite numbers) raises DatasetFormatError, a bad
+    aggregation or an epsilon that is not positive ConfigError."""
     try:
         layers = [
             (l["weight"], l["bias"], l.get("neighbor_weight"))

@@ -177,14 +177,29 @@ def drop_edge(g, u, v):
     return AttributedGraph(g.features, tuple(e for e in g.edges if e != key))
 
 
+def number_array(x, name, ndim=None):
+    """x, a number or nested list of numbers, as a float64 array of ndim
+    dimensions (any if None); else ValueError naming `name`. The one number
+    rule of feature vectors and of graph and model files: a bool, a numeric
+    string and an integer beyond the float range, which numpy would read or
+    overflow on, are not numbers; a list mixing bools with numbers is."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind in "iufO" and ndim in (None, arr.ndim):
+            return np.asarray(arr, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {'a number' if ndim == 0 else 'numbers'}")
+
+
 def perturb_feature(g, v, x):
     """Replace node v's feature vector with x, a vector of the graph's
-    dimension of numbers (not strings or bools, which numpy would convert)."""
+    dimension of numbers (`number_array`)."""
     check_node(g, v)
     try:
-        row = np.asarray(x, dtype=np.float64)
-        ok = row.shape == (g.feature_dim,) and np.asarray(x).dtype.kind in "iufO"
-    except (TypeError, ValueError, OverflowError):
+        row = number_array(x, "feature")
+        ok = row.shape == (g.feature_dim,)
+    except ValueError:
         ok = False
     if not ok:
         raise ValueError(f"feature {x!r} is not a vector of numbers of dimension {g.feature_dim}")
@@ -284,10 +299,7 @@ def graph_from_json(obj, feature_dim=1):
         raise DatasetFormatError("graph JSON must have 'features' and 'edges' keys")
     feats = obj["features"]
     try:
-        if len(feats) == 0:
-            arr = np.zeros((0, feature_dim))
-        else:
-            arr = np.asarray(feats, dtype=np.float64)
+        arr = np.zeros((0, feature_dim)) if len(feats) == 0 else number_array(feats, "features")
         return AttributedGraph(arr, obj["edges"])
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad graph JSON: {exc}") from exc

@@ -17,11 +17,14 @@ class ConfigError(ValueError):
 
 
 def positive_finite(name, x):
-    """x as a float; ConfigError naming `name` unless 0 < x < inf."""
-    x = float(x)
-    if not 0 < x < inf:
-        raise ConfigError(f"{name} must be positive and finite, got {x}")
-    return x
+    """x as a float; ConfigError naming `name` unless 0 < x < inf, which an
+    integer beyond the float range is not."""
+    try:
+        if 0 < float(x) < inf:
+            return float(x)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be positive and finite, got {x}")
 
 
 @dataclass(frozen=True)

@@ -169,17 +169,6 @@ def test_dist_mean_is_scaled_sum_at_depth_one(tmp_path):
     assert vs[0, 1] > 0
 
 
-def test_dist_env_var_threads(two_cluster_dir, tmp_path, monkeypatch):
-    d, _ = two_cluster_dir
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_dist(d, out1) == 0
-    monkeypatch.setenv("TMD_THREADS", "4")
-    assert run_dist(d, out2) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("TMD_THREADS", "many")
-    assert run_dist(d, tmp_path / "c.csv") == 3
-
-
 def test_dist_dataset_json_file(tmp_path):
     ds = GraphDataset(
         (AttributedGraph(np.array([[1.0]]), []),
@@ -631,12 +620,14 @@ def test_perturb_drop_node_and_feature(tmp_path):
     ["--perturb-node", "-1", "--feature", "[3.0]"],
     ["--drop-edge", "99", "0"],
     ["--drop-edge", "-1", "0"],
+    ["--drop-edge", "0", "99"],
 ])
 def test_perturb_node_out_of_range(tmp_path, capsys, edit):
     out = tmp_path / "p.json"
     assert main(["perturb", "--graph", str(fixture_path("edge_pair")), *edit,
                  "--depth", "2", "--weights", "constant:1.0", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"error: node {edit[1]} out of range for 2 nodes\n"
+    node = "99" if "99" in edit else "-1"
+    assert capsys.readouterr().err == f"error: node {node} out of range for 2 nodes\n"
     assert not out.exists()
 
 
@@ -652,6 +643,44 @@ def test_perturb_feature_not_a_vector_of_numbers(tmp_path, capsys, feature):
     x = json.loads(feature)
     assert capsys.readouterr().err == (f"error: feature {x!r} is not a vector of numbers "
                                        "of dimension 1\n")
+    assert not out.exists()
+
+
+def _model_text(**numbers):
+    """A one-layer model JSON on feature dimension 1, with `numbers`
+    (epsilon, weight, bias, neighbor) written in as JSON tokens."""
+    n = {"epsilon": "1.0", "weight": "0.5", "bias": "0.0", "neighbor": "0.5", **numbers}
+    return (f'{{"epsilon": {n["epsilon"]}, "layers": [{{"weight": [[{n["weight"]}]], '
+            f'"bias": [{n["bias"]}], "neighbor_weight": [[{n["neighbor"]}]]}}], '
+            f'"readout": {{"weight": [[1.0]], "bias": [0.0]}}}}')
+
+
+@pytest.mark.parametrize("number", ["true", '"1.5"', str(10**400)],
+                         ids=["bool", "numeric-string", "huge-int"])
+@pytest.mark.parametrize("command, text, message", [
+    ("wl", '{"features": [[@], [@]], "edges": [[0, 1]]}',
+     "bad graph JSON: features must be numbers"),
+    ("dist", '{"graphs": [{"features": [[1.0]], "edges": []}, {"features": [[@]], "edges": []}]}',
+     "bad graph JSON: features must be numbers"),
+    ("lipschitz", _model_text(weight="@"), "bad model JSON: layer weight must be numbers"),
+    ("lipschitz", _model_text(bias="@"), "bad model JSON: bias must be numbers"),
+    ("lipschitz", _model_text(neighbor="@"), "bad model JSON: neighbor weight must be numbers"),
+    ("lipschitz", _model_text(epsilon="@"), "bad model JSON: epsilon must be a number"),
+], ids=["graph", "dataset", "model-weight", "model-bias", "model-neighbor-weight",
+        "model-epsilon"])
+def test_json_number_not_a_number(tmp_path, capsys, command, text, message, number):
+    # the --feature rule: numpy would read the first two as 1.0 and 1.5 and
+    # raise OverflowError on the third (a list mixing bools with other
+    # numbers reads as numbers, so each array here holds only the one token)
+    path = tmp_path / "in.json"
+    path.write_text(text.replace("@", number))
+    edge_pair = fixture_path("edge_pair")
+    args = {"wl": ["--graph-a", path, "--graph-b", edge_pair],
+            "dist": ["--data", path, "--depth", "1", "--weights", "constant:1.0"],
+            "lipschitz": ["--model", path, "--graph-a", edge_pair, "--graph-b", edge_pair]}
+    out = tmp_path / "out"
+    assert main([command, *map(str, args[command]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from treemover import (AttributedGraph, GraphDataset, TmdConfig, constant_weight
                        load_dataset_json, load_graph_json, permute_nodes, perturb_feature,
                        random_graph, save_dataset_json, save_graph_json,
                        standardize_datasets)
-from treemover.graphs import group_indices
+from treemover.graphs import DatasetFormatError, group_indices, number_array
 
 from conftest import load_fixture
 
@@ -122,6 +122,20 @@ def test_perturb_feature_not_a_vector_of_numbers(x):
         perturb_feature(g, 0, x)
     with pytest.raises(ValueError, match=message):
         edit_sequence_bound(g, [("perturb", 0, x)], TmdConfig(2, constant_weights(1.0)))
+
+
+def test_graph_json_numbers_follow_the_feature_rule():
+    # the rule moved as it was: a list mixing bools with numbers reads as numbers
+    g = graph_from_json({"features": [[True, 2.0]], "edges": []})
+    assert g.features.tolist() == [[1.0, 2.0]]
+    assert perturb_feature(g, 0, [True, 2.0]) == g
+    for x in (True, "1.5", 10**400, [[True]], [["1.5"]], [[10**400]], [[1.0], 2.0]):
+        with pytest.raises(ValueError, match="^x must be numbers$"):
+            number_array(x, "x")
+        with pytest.raises(DatasetFormatError):
+            graph_from_json({"features": x, "edges": []})
+    with pytest.raises(ValueError, match="^x must be a number$"):
+        number_array([1.0], "x", ndim=0)
 
 
 def test_permute_roundtrip():

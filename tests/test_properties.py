@@ -259,7 +259,8 @@ def test_refinement_class_order_independent_of_other_graphs(data):
 # the files are rewritten in place for each example
 FUZZ = settings(PROPERTY, max_examples=150,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
-ODD_VALUES = (None, True, "x", -1, 0.5, 1e300, [], {}, [[]], float("nan"), float("inf"))
+ODD_VALUES = (None, True, "x", "1.5", -1, 0.5, 1e300, 10**400, [], {}, [[]], float("nan"),
+              float("inf"))
 ODD_TOKENS = ("nan", "inf", "x", "", "1.5", "-1", "0", "2", "9")
 
 

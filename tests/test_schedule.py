@@ -27,7 +27,7 @@ def test_constant_weights():
         constant_weights(0.0)
     with pytest.raises(ConfigError):
         constant_weights(-1.0)
-    for bad in (float("inf"), float("nan")):
+    for bad in (float("inf"), float("nan"), 10**400, -10**400):  # the ints overflow float
         with pytest.raises(ConfigError, match="constant weight must be positive and finite"):
             constant_weights(bad)
 
