@@ -13,18 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schedule import integral
+
 
 class DatasetFormatError(ValueError):
     """Raised when an on-disk graph or dataset file is malformed."""
 
 
 def _label(y):
-    """y as an int; ValueError unless y is an integer value."""
-    try:
-        i = int(y)
-    except (TypeError, ValueError, OverflowError):
-        i = None
-    if i is None or i != y:
+    """y as an int; ValueError unless y is `integral` (a JSON `true` is not)."""
+    i = integral(y)
+    if i is None:
         raise ValueError(f"labels must be integers, got {y!r}")
     return i
 
@@ -33,13 +32,12 @@ def _normalize_edges(edges, n):
     out = set()
     for e in edges:
         try:
-            u, v = e
-            pair = int(u), int(v)
-        except (TypeError, ValueError, OverflowError):
-            pair = None
-        if pair is None or pair != (u, v):
+            a, b = e
+        except (TypeError, ValueError):
+            a = b = None
+        u, v = integral(a), integral(b)
+        if u is None or v is None:
             raise ValueError(f"edge {e!r} is not a pair of integer node ids")
-        u, v = pair
         if u == v:
             raise ValueError(f"self loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -152,8 +150,9 @@ def neighbor_index(g):
 
 
 def check_node(g, v):
-    """IndexError naming v unless v is a node of g: an integer in 0..n-1."""
-    if not (isinstance(v, (int, np.integer)) and 0 <= v < g.node_count):
+    """IndexError naming v unless v is an `integral` int or numpy integer in 0..n-1."""
+    i = integral(v) if isinstance(v, (int, np.integer)) else None
+    if i is None or not 0 <= i < g.node_count:
         raise IndexError(f"node {v} out of range for {g.node_count} nodes")
 
 
@@ -180,12 +179,13 @@ def drop_edge(g, u, v):
 def number_array(x, name, ndim=None):
     """x, a number or nested list of numbers, as a float64 array of ndim
     dimensions (any if None); else ValueError naming `name`. The one number
-    rule of feature vectors and of graph and model files: a bool, a numeric
-    string and an integer beyond the float range, which numpy would read or
-    overflow on, are not numbers; a list mixing bools with numbers is."""
+    rule of feature vectors and of graph and model files: bools, numeric
+    strings (also in an object array, beside integers beyond int64) and
+    integers beyond the float range are not numbers; a bool among numbers is."""
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind in "iufO" and ndim in (None, arr.ndim):
+        strings = arr.dtype.kind == "O" and any(isinstance(e, (str, bytes)) for e in arr.flat)
+        if arr.dtype.kind in "iufO" and ndim in (None, arr.ndim) and not strings:
             return np.asarray(arr, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -209,16 +209,13 @@ def perturb_feature(g, v, x):
 
 
 def permute_nodes(g, perm):
-    """Relabel nodes so that old index i becomes perm[i]."""
-    n = g.node_count
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm is not a permutation of 0..n-1")
+    """Relabel nodes so that old index i becomes perm[i] (`integral`)."""
+    new = [integral(p) for p in perm]
+    if None in new or sorted(new) != list(range(g.node_count)):
+        raise ValueError(f"perm {perm!r} is not a permutation of 0..n-1")
     feats = np.empty_like(g.features)
-    for old, new in enumerate(perm):
-        feats[new] = g.features[old]
-    edges = [(perm[a], perm[b]) for a, b in g.edges]
-    return AttributedGraph(feats, edges)
+    feats[new] = g.features
+    return AttributedGraph(feats, [(new[a], new[b]) for a, b in g.edges])
 
 
 def random_graph(n, edge_prob, feature_dim, seed):
@@ -249,20 +246,15 @@ class GraphDataset:
 
     def __post_init__(self):
         graphs = tuple(self.graphs)
-        if graphs:
-            p = graphs[0].feature_dim
-            for i, g in enumerate(graphs):
-                if g.feature_dim != p:
-                    raise ValueError(
-                        f"graph {i} has feature dimension {g.feature_dim}, expected {p}"
-                    )
+        for i, g in enumerate(graphs):
+            if g.feature_dim != graphs[0].feature_dim:
+                raise ValueError(f"graph {i} has feature dimension {g.feature_dim}, "
+                                 f"expected {graphs[0].feature_dim}")
         labels = self.labels
         if labels is not None:
             labels = tuple(_label(y) for y in labels)
             if len(labels) != len(graphs):
-                raise ValueError(
-                    f"{len(labels)} labels for {len(graphs)} graphs"
-                )
+                raise ValueError(f"{len(labels)} labels for {len(graphs)} graphs")
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "labels", labels)
 
@@ -275,15 +267,6 @@ class GraphDataset:
 
     def __getitem__(self, i):
         return self.graphs[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphDataset):
-            return NotImplemented
-        return (
-            self.graphs == other.graphs
-            and self.labels == other.labels
-            and self.name == other.name
-        )
 
 
 def graph_to_json(g):

@@ -11,20 +11,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
+import numpy as np
+
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)  # float() and int() read them as numbers
+
 
 class ConfigError(ValueError):
     """Raised for invalid configuration (schedules, depths, modes)."""
 
 
 def positive_finite(name, x):
-    """x as a float; ConfigError naming `name` unless 0 < x < inf, which an
-    integer beyond the float range is not."""
+    """x as a float; ConfigError naming `name` unless x is a number (not a bool
+    or a string) with 0 < x < inf, which an integer beyond floats is not."""
     try:
-        if 0 < float(x) < inf:
+        if not isinstance(x, _NOT_NUMBERS) and 0 < float(x) < inf:
             return float(x)
-    except OverflowError:
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name} must be positive and finite, got {x}")
+
+
+def integral(x):
+    """x as an int if int(x) == x and x is not a bool (Python or numpy) or a
+    string, else None: the one integer rule of depths, levels and node ids."""
+    if type(x) is int:  # most calls, and never a bool
+        return x
+    if isinstance(x, _NOT_NUMBERS):
+        return None
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
 
 
 @dataclass(frozen=True)
@@ -41,17 +59,15 @@ class WeightSchedule:
     table: tuple = None
 
     def weight(self, level):
-        if int(level) != level or level < 1:
+        i = integral(level)
+        if i is None or i < 1:
             raise ConfigError(f"weight level must be a positive integer, got {level}")
-        level = int(level)
         if self.constant is not None:
             return self.constant
-        if level > len(self.table):
-            raise ConfigError(
-                f"schedule '{self.label()}' defines w(1)..w({len(self.table)}), "
-                f"w({level}) requested"
-            )
-        return self.table[level - 1]
+        if i > len(self.table):
+            raise ConfigError(f"schedule '{self.label()}' defines "
+                              f"w(1)..w({len(self.table)}), w({i}) requested")
+        return self.table[i - 1]
 
     def max_level(self):
         return None if self.constant is not None else len(self.table)
@@ -73,12 +89,22 @@ class WeightSchedule:
 
     @staticmethod
     def from_json(obj):
-        return WeightSchedule(
-            kind=obj["kind"],
-            epsilon=obj.get("epsilon", 1.0),
-            constant=obj.get("constant"),
-            table=tuple(obj["table"]) if obj.get("table") is not None else None,
-        )
+        """The schedule `to_json` wrote, through the constructors' checks:
+        ConfigError for an unknown kind, a weight or epsilon not positive and
+        finite, a table of no pascal depth's length, or a `pascal` table other
+        than the one its length and epsilon build."""
+        kind = obj["kind"]
+        if kind == "constant":
+            return constant_weights(obj["constant"])
+        if kind not in ("pascal", "pascal_scaled"):
+            raise ConfigError(f"unknown weight schedule kind {kind!r}")
+        table = tuple(positive_finite(f"w({l})", w) for l, w in enumerate(obj["table"], start=1))
+        built = pascal_weights(len(table), obj.get("epsilon", 1.0))  # checks the depth
+        if kind == "pascal_scaled":
+            return WeightSchedule(kind, table=table)
+        if built.table != table:
+            raise ConfigError(f"table {list(table)} is not the one '{built.label()}' builds")
+        return built
 
 
 def constant_weights(c):
@@ -94,21 +120,21 @@ PASCAL_MAX_DEPTH = 10_000
 def _pascal_table(depth, scales):
     """w(1)..w(depth) with w(l) = s_l * C(depth, l-1) / C(depth, l).
 
-    Raises ConfigError for a depth that is not an integer from 1 to
-    PASCAL_MAX_DEPTH, before any list is built; scales then maps the depth
-    to its checked per-level scales s_1..s_depth. The ratio of binomials is
-    l / (depth - l + 1), so no binomial is formed and every depth up to the
-    cap works. Each weight is checked too: a finite scale times the ratio
-    can overflow or underflow.
+    Raises ConfigError for a depth that is not an integer (`integral`) from
+    1 to PASCAL_MAX_DEPTH, before any list is built; scales then maps the
+    depth to its checked per-level scales s_1..s_depth. The ratio of
+    binomials is l / (depth - l + 1), so no binomial is formed and every
+    depth up to the cap works. Each weight is checked too: a finite scale
+    times the ratio can overflow or underflow.
     """
-    if int(depth) != depth or depth < 1:
+    d = integral(depth)
+    if d is None or d < 1:
         raise ConfigError(f"pascal schedule needs integer depth >= 1, got {depth}")
-    if depth > PASCAL_MAX_DEPTH:
+    if d > PASCAL_MAX_DEPTH:
         raise ConfigError(f"pascal schedule depth must be at most {PASCAL_MAX_DEPTH}, "
                           f"got {depth}")
-    depth = int(depth)
-    return tuple(positive_finite(f"w({l})", s * (l / (depth - l + 1)))
-                 for l, s in enumerate(scales(depth), start=1))
+    return tuple(positive_finite(f"w({l})", s * (l / (d - l + 1)))
+                 for l, s in enumerate(scales(d), start=1))
 
 
 def pascal_weights(depth, epsilon=1.0):
@@ -118,12 +144,8 @@ def pascal_weights(depth, epsilon=1.0):
     grows from epsilon/depth up to epsilon*depth, the profile under which
     message-passing contractions telescope in the stability bound.
     """
-    epsilon = float(epsilon)
-
-    def checked(depth):
-        return [positive_finite("epsilon", epsilon)] * depth
-
-    return WeightSchedule(kind="pascal", epsilon=epsilon, table=_pascal_table(depth, checked))
+    table = _pascal_table(depth, lambda d: [positive_finite("epsilon", epsilon)] * d)
+    return WeightSchedule(kind="pascal", epsilon=float(epsilon), table=table)
 
 
 def pascal_weights_scaled(depth, scales):
@@ -145,10 +167,11 @@ _MODES = ("sum", "mean")
 
 
 def check_depth(depth):
-    """depth as an int; ConfigError unless it is an integer >= 1."""
-    if int(depth) != depth or depth < 1:
+    """depth as an int; ConfigError unless it is `integral` and >= 1."""
+    d = integral(depth)
+    if d is None or d < 1:
         raise ConfigError(f"depth must be an integer >= 1, got {depth}")
-    return int(depth)
+    return d
 
 
 @dataclass(frozen=True)
@@ -176,16 +199,9 @@ class TmdConfig:
             )
 
     def to_json(self):
-        return {
-            "depth": self.depth,
-            "weights": self.schedule.to_json(),
-            "mode": self.mode,
-        }
+        return {"depth": self.depth, "weights": self.schedule.to_json(), "mode": self.mode}
 
     @staticmethod
     def from_json(obj):
-        return TmdConfig(
-            depth=obj["depth"],
-            schedule=WeightSchedule.from_json(obj["weights"]),
-            mode=obj.get("mode", "sum"),
-        )
+        return TmdConfig(obj["depth"], WeightSchedule.from_json(obj["weights"]),
+                         obj.get("mode", "sum"))

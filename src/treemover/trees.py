@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import check_feature_dims, check_node, neighbor_index
-from .schedule import ConfigError, check_depth
+from .schedule import ConfigError, check_depth, integral
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,11 @@ def padded_tree_widths(pad, v, depth):
 
 
 def tree_width(g, v, depth, level):
-    """Width of the depth-`depth` tree at v for one level (1-based)."""
-    if not (1 <= level <= depth):
+    """Width of the depth-`depth` tree at v for one `integral` level 1..depth."""
+    i = integral(level)
+    if i is None or not 1 <= i <= depth:
         raise ValueError(f"level must lie in 1..{depth}, got {level}")
-    return int(tree_widths(g, v, depth)[level - 1])
+    return int(tree_widths(g, v, depth)[i - 1])
 
 
 def _bitmask_assignment(c):

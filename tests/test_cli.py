@@ -646,6 +646,19 @@ def test_perturb_feature_not_a_vector_of_numbers(tmp_path, capsys, feature):
     assert not out.exists()
 
 
+def test_perturb_feature_numeric_string_beside_a_huge_int(tmp_path, capsys):
+    # numpy reads the vector, an object array, as [1e30, 1.5]
+    graph = tmp_path / "g.json"
+    graph.write_text('{"features": [[1.0, 0.0], [0.0, 1.0]], "edges": [[0, 1]]}')
+    out = tmp_path / "p.json"
+    feature = f'[{10**30}, "1.5"]'
+    assert main(["perturb", "--graph", str(graph), "--perturb-node", "0", "--feature", feature,
+                 "--depth", "2", "--weights", "constant:1.0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: feature {json.loads(feature)!r} is not a "
+                                       "vector of numbers of dimension 2\n")
+    assert not out.exists()
+
+
 def _model_text(**numbers):
     """A one-layer model JSON on feature dimension 1, with `numbers`
     (epsilon, weight, bias, neighbor) written in as JSON tokens."""
@@ -655,8 +668,9 @@ def _model_text(**numbers):
             f'"readout": {{"weight": [[1.0]], "bias": [0.0]}}}}')
 
 
-@pytest.mark.parametrize("number", ["true", '"1.5"', str(10**400)],
-                         ids=["bool", "numeric-string", "huge-int"])
+@pytest.mark.parametrize("number", ["true", '"1.5"', str(10**400), f'[{10**30}, "1.5"]'],
+                         ids=["bool", "numeric-string", "huge-int",
+                              "huge-int-with-numeric-string"])
 @pytest.mark.parametrize("command, text, message", [
     ("wl", '{"features": [[@], [@]], "edges": [[0, 1]]}',
      "bad graph JSON: features must be numbers"),
@@ -755,23 +769,41 @@ def test_exit_malformed_inputs(tmp_path):
                  "--out", str(tmp_path / "m.csv")]) == 2
 
 
+def _header(depth=2, **weights):
+    """A `# config:` line of a 2x2 matrix at `depth` whose weights object is
+    constant:1.0 updated with `weights`, each value a JSON token."""
+    w = {"kind": '"constant"', "epsilon": "1.0", "constant": "1.0", **weights}
+    w = ",".join(f'"{k}":{v}' for k, v in w.items())
+    return (f'# config:{{"config":{{"depth":{depth},"weights":{{{w}}},"mode":"sum"}},'
+            '"row_ids":["0","1"],"col_ids":["0","1"]}\n')
+
+
 def test_exit_malformed_distance_csv(two_cluster_dir, tmp_path, capsys):
     _, labels = two_cluster_dir
     body = "0.0,1.0\n1.0,0.0\n"
+    pascal = {"kind": '"pascal"', "constant": "null"}
     for name, text, line in (("ragged.csv", "0.0,1.0\n1.0\n", 2),
                              ("words.csv", "0.0,one\n1.0,0.0\n", 1),
                              ("no_ids.csv", '# config:{"config":null}\n' + body, 1),
                              ("short_ids.csv", '# config:{"config":null,"row_ids":["0"],'
                               '"col_ids":["0","1"]}\n' + body, 1),
-                             ("not_json.csv", '# config:{"config":\n' + body, 1)):
+                             ("not_json.csv", '# config:{"config":\n' + body, 1),
+                             # headers no schedule constructor would build
+                             ("huge_depth.csv", _header(depth="1e400") + body, 1),
+                             ("negative.csv", _header(constant="-5") + body, 1),
+                             ("bool.csv", _header(constant="true") + body, 1),
+                             ("word_in_table.csv", _header(**pascal, table='[1,"x"]') + body, 1),
+                             ("foreign_table.csv", _header(**pascal, table="[5.0,5.0]") + body, 1),
+                             ("bogus_kind.csv", _header(kind='"bogus"') + body, 1)):
         mat = tmp_path / name
         mat.write_text(text)
         assert main(["knn", "--matrix", str(mat), "--labels", str(labels),
                      "--out", str(tmp_path / "knn.json")]) == 2
-        assert f"error: {mat}:{line}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mat}:{line}: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0.5, 1.9]])
+@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0.5, 1.9], [True, 0]])
 def test_exit_graph_json_edge_not_an_integer_pair(tmp_path, capsys, edge):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"features": [[1.0], [2.0], [3.0]], "edges": [edge]}))

@@ -33,7 +33,7 @@ def test_construction_rejects_bad_edges():
         AttributedGraph(np.array([[np.nan]]), [])
 
 
-@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0.5, 1.9]])
+@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0.5, 1.9], [True, 0]])
 def test_construction_rejects_edges_that_are_not_integer_pairs(edge):
     with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} is not a pair "
                                          r"of integer node ids$"):
@@ -45,7 +45,7 @@ def test_construction_accepts_integral_ids_of_any_type():
     assert g.edges == ((0, 1), (1, 2))
 
 
-@pytest.mark.parametrize("labels", [["a"], [0.5], [None]])
+@pytest.mark.parametrize("labels", [["a"], [0.5], [None], [True], [np.True_]])
 def test_dataset_rejects_labels_that_are_not_integers(labels):
     g = AttributedGraph(np.ones((1, 1)), [])
     with pytest.raises(ValueError, match=r"^labels must be integers, got "):
@@ -80,7 +80,7 @@ def test_drop_node_reindexes():
     assert h.edges == ((0, 1),)
     with pytest.raises(IndexError):
         drop_node(g, 3)
-    for v in (1.5, 1.0, "1", None):
+    for v in (1.5, 1.0, "1", None, True):
         with pytest.raises(IndexError, match=f"node {v} out of range for 3 nodes"):
             drop_node(g, v)
     assert drop_node(g, np.int64(1)) == drop_node(g, 1)
@@ -92,7 +92,7 @@ def test_drop_edge():
     assert h.edges == ((0, 1), (0, 2))
     with pytest.raises(ValueError):
         drop_edge(h, 1, 2)
-    for u, v, bad in ((0.0, 1, 0.0), (0, 1.0, 1.0), (3, 1, 3), (0, "1", 1)):
+    for u, v, bad in ((0.0, 1, 0.0), (0, 1.0, 1.0), (3, 1, 3), (0, "1", 1), (True, 0, True)):
         with pytest.raises(IndexError, match=f"node {bad} out of range for 3 nodes"):
             drop_edge(g, u, v)
     assert drop_edge(g, np.int64(0), np.int64(1)) == drop_edge(g, 0, 1)
@@ -129,7 +129,10 @@ def test_graph_json_numbers_follow_the_feature_rule():
     g = graph_from_json({"features": [[True, 2.0]], "edges": []})
     assert g.features.tolist() == [[1.0, 2.0]]
     assert perturb_feature(g, 0, [True, 2.0]) == g
-    for x in (True, "1.5", 10**400, [[True]], [["1.5"]], [[10**400]], [[1.0], 2.0]):
+    # a numeric string beside an integer beyond int64, which makes numpy
+    # build an object array, is not a number either
+    for x in (True, "1.5", 10**400, [[True]], [["1.5"]], [[10**400]], [[1.0], 2.0],
+              [[10**30, "1.5"]], [[10**30, b"1.5"]]):
         with pytest.raises(ValueError, match="^x must be numbers$"):
             number_array(x, "x")
         with pytest.raises(DatasetFormatError):
@@ -159,6 +162,9 @@ def test_permute_rejects_non_permutation():
     g = load_fixture("edge_pair")
     with pytest.raises(ValueError):
         permute_nodes(g, [0, 0])
+    # not truncated to the permutation [0, 1, 2]
+    with pytest.raises(ValueError, match=r"^perm \[0.5, 1.2, 2.9\] is not a permutation"):
+        permute_nodes(load_fixture("path3"), [0.5, 1.2, 2.9])
 
 
 def test_random_graph_reproducible_and_extremes():

@@ -18,12 +18,12 @@ between their depth-k computation trees is 0 (features hold zeros of both
 signs but no all-zero row), and the order between two graphs' classes does
 not depend on the other graphs refined with them.
 
-Mutated input files (graph, dataset and model JSON, and the text layout)
-never make `cli.main` raise: it exits 0, 2 or 3, and an exit of 2 names the
-file at fault. Out-of-range option values (0, -1, the smallest and largest
-floats, inf, NaN; integers up to 10**30; malformed schedules and features)
-end in a one-line error or an output its reader loads back, with no numpy
-warning.
+Mutated input files (graph, dataset and model JSON, the text layout and a
+distance CSV's header) never make `cli.main` raise: it exits 0, 2 or 3, and
+an exit of 2 names the file at fault. Out-of-range option values (0, -1,
+the smallest and largest floats, inf, NaN; integers up to 10**30; malformed
+schedules and features) end in a one-line error or an output its reader
+loads back, with no numpy warning.
 
 Features of 0 make all-zero rows common, so the distance's warning about
 them is silenced where a test computes one.
@@ -46,8 +46,8 @@ from treemover import (AttributedGraph, DistanceMatrix, GraphDataset, TmdConfig,
                        edge_drop_bound, gin_forward, lipschitz_check, load_distance_csv,
                        matching_config, model_to_json, naive_tmd, naive_tree_distance,
                        node_drop_bound, node_perturbation_bound, pairwise_tmd,
-                       pascal_weights, permute_nodes, perturb_feature, random_gin,
-                       random_graph, save_dataset_json, save_distance_csv, tmd,
+                       pascal_weights, pascal_weights_scaled, permute_nodes, perturb_feature,
+                       random_gin, random_graph, save_dataset_json, save_distance_csv, tmd,
                        tree_widths)
 from treemover import cli
 from treemover.distance import pair_distances, prepare_graph
@@ -340,6 +340,24 @@ def test_mutated_dataset_json(tmp_path, data):
     code, err = run_cli(["dist", "--data", path, "--depth", "2", "--weights", "constant:1.0",
                          "--out", tmp_path / "m.csv"])
     check_exit(code, err, f"{path}: ")
+
+
+HEADERS = [{"config": TmdConfig(2, schedule).to_json(), "row_ids": ["a", "b"],
+            "col_ids": ["a", "b"]}
+           for schedule in (*SCHEDULES, pascal_weights_scaled(2, [0.5, 2.0]))]
+
+
+@ODD_NUMBERS
+@FUZZ
+@given(st.sampled_from(HEADERS), st.data())
+def test_mutated_csv_header(tmp_path, header, data):
+    path, labels = tmp_path / "m.csv", tmp_path / "labels.txt"
+    labels.write_text("0\n1\n")
+    text = json.dumps(data.draw(mutated_json(header)), separators=(",", ":"))
+    path.write_text(f"# config:{text}\n0.0,1.0\n1.0,0.0\n")
+    code, err = run_cli(["knn", "--matrix", path, "--labels", labels,
+                         "--out", tmp_path / "k.json"])
+    check_exit(code, err, f"{path}:1: ")
 
 
 @st.composite

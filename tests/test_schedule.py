@@ -1,5 +1,8 @@
 """Weight schedules and the distance configuration."""
 
+import re
+
+import numpy as np
 import pytest
 
 from treemover import (ConfigError, TmdConfig, WeightSchedule, constant_weights,
@@ -27,9 +30,12 @@ def test_constant_weights():
         constant_weights(0.0)
     with pytest.raises(ConfigError):
         constant_weights(-1.0)
-    for bad in (float("inf"), float("nan"), 10**400, -10**400):  # the ints overflow float
+    for bad in (float("inf"), float("nan"), 10**400, -10**400,  # the ints overflow float
+                True, "1.5", None):
         with pytest.raises(ConfigError, match="constant weight must be positive and finite"):
             constant_weights(bad)
+    with pytest.raises(ConfigError, match="^weight level must be a positive integer, got inf$"):
+        s.weight(float("inf"))
 
 
 def test_pascal_values_depth4():
@@ -60,6 +66,10 @@ def test_pascal_endpoints():
 def test_pascal_rejects_bad_args():
     with pytest.raises(ConfigError):
         pascal_weights(0)
+    for depth in (float("inf"), True, 2.5):
+        with pytest.raises(ConfigError, match=f"^pascal schedule needs integer depth >= 1, "
+                                              f"got {depth}$"):
+            pascal_weights(depth)
     with pytest.raises(ConfigError):
         pascal_weights(3, 0.0)
     with pytest.raises(ConfigError, match=r"^epsilon must be positive and finite, got inf$"):
@@ -115,6 +125,11 @@ def test_config_validation():
     assert cfg.depth == 3 and cfg.mode == "mean"
     with pytest.raises(ConfigError):
         TmdConfig(0, constant_weights(1.0))
+    for depth in (float("inf"), None, True, np.True_, 2.5, "2"):
+        with pytest.raises(ConfigError, match=f"^depth must be an integer >= 1, got {depth}$"):
+            TmdConfig(depth, constant_weights(1.0))
+    assert TmdConfig(np.int64(2), constant_weights(1.0)).depth == 2
+    assert TmdConfig(2.0, constant_weights(1.0)).depth == 2
     with pytest.raises(ConfigError):
         TmdConfig(2, constant_weights(1.0), "median")
     # a bounded schedule must cover the depths the distance consumes
@@ -130,3 +145,24 @@ def test_schedule_json_roundtrip():
         assert again == sched
     cfg = TmdConfig(4, pascal_weights(4), "mean")
     assert TmdConfig.from_json(cfg.to_json()) == cfg
+
+
+# each loads at a parent that builds the schedule from its fields as stored
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "constant", "epsilon": 1.0, "constant": -5},
+     "constant weight must be positive and finite, got -5"),
+    ({"kind": "constant", "epsilon": 1.0, "constant": True},
+     "constant weight must be positive and finite, got True"),
+    ({"kind": "pascal", "epsilon": 1.0, "table": [1, "x"]},
+     "w(2) must be positive and finite, got x"),
+    ({"kind": "pascal", "epsilon": 1.0, "table": [5.0, 5.0]},
+     "table [5.0, 5.0] is not the one 'pascal:2,1.0' builds"),
+    ({"kind": "pascal_scaled", "epsilon": 1.0, "table": []},
+     "pascal schedule needs integer depth >= 1, got 0"),
+    ({"kind": "bogus", "epsilon": 1.0, "constant": 1.0},
+     "unknown weight schedule kind 'bogus'"),
+], ids=["negative-constant", "bool-constant", "word-in-table", "foreign-table",
+        "empty-scaled-table", "unknown-kind"])
+def test_schedule_from_json_goes_through_the_constructors(obj, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        WeightSchedule.from_json(obj)

@@ -43,6 +43,10 @@ def test_tree_widths_star():
         tree_widths(star, 4, 3)
     with pytest.raises(IndexError, match="node 1.5 out of range for 4 nodes"):
         tree_widths(star, 1.5, 3)
+    with pytest.raises(IndexError, match="node True out of range for 4 nodes"):
+        tree_widths(star, True, 3)
+    with pytest.raises(ValueError, match=r"^level must lie in 1..3, got 1.5$"):
+        tree_width(star, 0, 3, 1.5)
 
 
 def test_tree_widths_path_and_isolated():
