@@ -24,8 +24,7 @@ _EXPORTS = {
     "bounds": ("PerturbationReport", "edge_drop_bound", "edit_sequence_bound",
                "lambda_coefficients", "node_drop_bound",
                "node_perturbation_bound"),
-    "distance": ("DistanceTable", "build_distance_tables", "tmd",
-                 "tree_distance", "tree_norm", "tree_norm_levels"),
+    "distance": ("tmd", "tree_distance", "tree_norm", "tree_norm_levels"),
     "gnn": ("GinLayer", "GinModel", "LipschitzCheck", "empirical_lipschitz",
             "gin_forward", "lipschitz_check", "load_model_json", "make_gin",
             "matching_config", "model_from_json", "model_to_json", "pearson_r",

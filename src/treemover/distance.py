@@ -68,7 +68,6 @@ import importlib.util
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
@@ -121,28 +120,6 @@ def _scipy_kernels():
 
 
 linear_sum_assignment, cdist_euclidean = _scipy_kernels()
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """Pairwise tree distances at one depth.
-
-    dist has shape (n_a + 1, n_b + 1): entry [u, v] is the distance between
-    the depth-`depth` trees rooted at u and v, the last column holds the
-    a-side tree norms (distance to the blank tree), the last row the b-side
-    norms, and the corner is 0.
-    """
-
-    depth: int
-    dist: np.ndarray
-
-    @property
-    def norms_a(self):
-        return self.dist[:-1, -1]
-
-    @property
-    def norms_b(self):
-        return self.dist[-1, :-1]
 
 
 _PACKAGE = os.path.dirname(__file__) + os.sep
@@ -376,22 +353,15 @@ def _check_pair(a, b):
         warn_zero_features(int(p.zero_features), 1)
 
 
-def build_distance_tables(ga, gb, cfg):
-    """All DistanceTables for depths 1..cfg.depth between two graphs."""
-    a, b = prepare_graph(ga), prepare_graph(gb)
-    _check_pair(a, b)
-    shape = (ga.node_count + 1, gb.node_count + 1)
-    tables = _batch_tables([(a, b)], cfg)[0]
-    return [DistanceTable(k, t.reshape(shape)) for k, t in enumerate(tables, start=1)]
-
-
 def tree_distance(ga, u, gb, v, depth, cfg):
-    """Distance between the depth-`depth` trees rooted at u in ga and v in gb."""
+    """Distance between the depth-`depth` trees rooted at u in ga and v in gb:
+    cell [u, v] of the pair's last table."""
     check_node(ga, u)
     check_node(gb, v)
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
-    tables = build_distance_tables(ga, gb, local)
-    return float(tables[-1].dist[u, v])
+    a, b = prepare_graph(ga), prepare_graph(gb)
+    _check_pair(a, b)
+    return float(_batch_tables([(a, b)], local)[0][-1][u * (gb.node_count + 1) + v])
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,8 +2,8 @@
 
 Solvers for transport problems posed outside the distance engine, which
 calls SciPy's assignment solver directly (see `distance`).
-`solve_assignment` solves a linear assignment and returns the
-lexicographically smallest optimal plan; `augmented_ot` first pads the
+`solve_assignment` solves a linear assignment with one call of the engine's
+solver and returns its optimal plan; `augmented_ot` first pads the
 smaller of two unequal multisets with blanks, as each child transport of
 the distance does. `solve_transport` handles general non-negative marginals
 and is used for dataset-level distances (`analysis`).
@@ -55,55 +55,18 @@ def _check_cost(c, square=False):
     return c
 
 
-def _assignment_cost(c):
-    """Minimum assignment cost without plan extraction (hot path)."""
-    rows, cols = linear_sum_assignment(c)
-    return float(c[rows, cols].sum())
-
-
-def _lexmin_assignment(c, best):
-    """Lexicographically smallest permutation among the optimal ones.
-
-    Greedy per row: commit to the smallest column whose best completion still
-    meets the optimal value. Ties are exact in well-posed inputs; the epsilon
-    only absorbs float noise from re-solved subproblems.
-    """
-    m = c.shape[0]
-    tol = 1e-12 * max(1.0, abs(best))
-    avail = list(range(m))
-    prefix = 0.0
-    perm = np.empty(m, dtype=np.intp)
-    for i in range(m):
-        for j in avail:
-            rest = [col for col in avail if col != j]
-            tail = 0.0
-            if rest:
-                tail = _assignment_cost(c[i + 1 :, rest])
-            if prefix + c[i, j] + tail <= best + tol:
-                perm[i] = j
-                prefix += c[i, j]
-                avail.remove(j)
-                break
-        else:  # pragma: no cover - defensive; optimum is always completable
-            raise RuntimeError("no completion met the optimal value")
-    return perm
-
-
 def solve_assignment(cost):
     """Minimum-cost perfect matching on a square non-negative cost matrix.
 
-    Returns the optimal value and, among all optimal permutations, the
-    lexicographically smallest one, so equal inputs always yield the same
-    plan.
+    Returns the optimal value and the optimal permutation SciPy's solver
+    returns. Where optimal plans tie, that is one of them, the same one for
+    equal inputs.
     """
     c = _check_cost(cost, square=True)
-    m = c.shape[0]
-    if m == 0:
+    if c.shape[0] == 0:
         return TransportPlan(cost=0.0, permutation=np.empty(0, dtype=np.intp))
-    best = _assignment_cost(c)
-    perm = _lexmin_assignment(c, best)
-    total = float(c[np.arange(m), perm].sum())
-    return TransportPlan(cost=total, permutation=perm)
+    rows, cols = linear_sum_assignment(c)
+    return TransportPlan(cost=float(c[rows, cols].sum()), permutation=cols)
 
 
 def _peel_flows(support, row_mass, col_mass):

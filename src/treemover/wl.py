@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .graphs import check_feature_dims
+from .schedule import integral
 
 
 def refine_classes(graphs):
@@ -44,14 +45,15 @@ def wl_first_difference(ga, gb, iterations):
     partition stabilises (no further iteration can separate the graphs).
     """
     check_feature_dims(ga, gb)
-    if int(iterations) != iterations or iterations < 0:
+    last = integral(iterations)
+    if last is None or last < 0:
         raise ValueError(f"iterations must be an integer >= 0, got {iterations}")
     classes = 0
     for it, (ca, cb) in enumerate(refine_classes((ga, gb))):
         if Counter(ca) != Counter(cb):
             return it
         count = len(set(ca).union(cb))
-        if it == iterations or count == classes:
+        if it == last or count == classes:
             return None
         classes = count
 

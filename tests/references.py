@@ -83,8 +83,9 @@ def _reference_cost(core, row_norms, col_norms, mean):
 
 
 def reference_tables(ga, gb, cfg):
-    """`build_distance_tables` as (n_a + 1, n_b + 1) arrays, by one np.ix_
-    gather and one transport per node pair."""
+    """The depth-1..cfg.depth tables of one pair as (n_a + 1, n_b + 1)
+    arrays, the blank last, by one np.ix_ gather and one transport per node
+    pair."""
     na, nb = ga.node_count, gb.node_count
     mean = cfg.mode == "mean"
     base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 import treemover.distance as distance_module
 from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
-                       build_distance_tables, constant_weights, dataset_w1, drop_node,
+                       constant_weights, dataset_w1, drop_node,
                        edge_drop_bound, edit_sequence_bound, lipschitz_check, naive_tmd,
                        node_drop_bound, node_perturbation_bound, pairwise_tmd,
                        pascal_weights, permute_nodes, random_gin, random_graph,
@@ -94,17 +94,26 @@ def test_depth1_is_feature_transport_and_mean_scaling():
 # -------------------------------------------------------------- the tables
 
 
+def _pair_tables(ga, gb, c):
+    """The engine's depth tables 1..c.depth of one pair, as (n_a + 1, n_b + 1)
+    arrays."""
+    pair = (distance_module.prepare_graph(ga), distance_module.prepare_graph(gb))
+    shape = (ga.node_count + 1, gb.node_count + 1)
+    return [t.reshape(shape) for t in distance_module._batch_tables([pair], c)[0]]
+
+
 def test_level1_table_is_feature_distance_plus_norms():
     ga = random_graph(4, 0.5, 3, seed=2)
     gb = random_graph(3, 0.5, 3, seed=3)
-    t1 = build_distance_tables(ga, gb, cfg(1))[-1]
+    [t1] = _pair_tables(ga, gb, cfg(1))
     for u in range(4):
         for v in range(3):
             want = np.linalg.norm(ga.features[u] - gb.features[v])
-            assert t1.dist[u, v] == pytest.approx(want, rel=1e-15)
-    np.testing.assert_allclose(t1.norms_a, np.linalg.norm(ga.features, axis=1))
-    np.testing.assert_allclose(t1.norms_b, np.linalg.norm(gb.features, axis=1))
-    assert t1.dist[4, 3] == 0.0
+            assert t1[u, v] == pytest.approx(want, rel=1e-15)
+    np.testing.assert_allclose(t1[:-1, -1], np.linalg.norm(ga.features, axis=1))
+    np.testing.assert_allclose(t1[-1, :-1], np.linalg.norm(gb.features, axis=1))
+    assert t1[4, 3] == 0.0
+    assert t1.tobytes() == reference_tables(ga, gb, cfg(1))[0].tobytes()
 
 
 def test_table_norm_columns_match_tree_norm():
@@ -184,7 +193,6 @@ def _zero_row_calls():
     model = random_gin(1, 2, 1, seed=0)
     return {
         "tmd": lambda: tmd(g, h, c),
-        "build_distance_tables": lambda: build_distance_tables(g, h, c),
         "tree_distance": lambda: tree_distance(g, 0, h, 0, 2, c),
         "tree_norm": lambda: tree_norm(g, 1, 2, c),
         "pairwise_tmd": lambda: pairwise_tmd(GraphDataset([g, h]), None, c),
@@ -397,15 +405,16 @@ def test_tables_bitwise_equal_per_cell_reference(mode):
         c = TmdConfig(4, schedule, mode)
         for ga, gb in _differential_pairs():
             for a, b in ((ga, gb), (gb, ga)):
-                got = build_distance_tables(a, b, c)
                 want = reference_tables(a, b, c)
-                assert [t.depth for t in got] == [1, 2, 3, 4]
-                for t, ref in zip(got, want):
-                    assert t.dist.tobytes() == ref.tobytes()
-                # tree_distance builds a pair's tables per call: one cell a depth
+                assert [t.tobytes() for t in _pair_tables(a, b, c)] == \
+                    [t.tobytes() for t in want]
+                # tree_distance builds a pair's tables per call: every cell of
+                # a small pair, one cell a depth of a larger one
                 for depth, ref in enumerate(want, start=1):
-                    if a.node_count and b.node_count:
-                        u, v = depth % a.node_count, 3 * depth % b.node_count
+                    cells = [(u, v) for u in range(a.node_count) for v in range(b.node_count)]
+                    if len(cells) > 64:
+                        cells = [(depth % a.node_count, 3 * depth % b.node_count)]
+                    for u, v in cells:
                         got_cell = tree_distance(a, u, b, v, depth, c)
                         assert np.float64(got_cell).tobytes() == ref[u, v].tobytes()
             for depth in (1, 2, 3, 4):

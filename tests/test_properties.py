@@ -347,17 +347,53 @@ HEADERS = [{"config": TmdConfig(2, schedule).to_json(), "row_ids": ["a", "b"],
            for schedule in (*SCHEDULES, pascal_weights_scaled(2, [0.5, 2.0]))]
 
 
+def rebuilt_config(header):
+    """The TmdConfig the fields of a loaded header's `config` build through
+    the schedule constructors, or None: a pascal table must be the one its
+    length and epsilon build, and a scaled table w(1)..w(d) gives the scales
+    w(l) * (d - l + 1) / l."""
+    obj = header.get("config")
+    if not obj:
+        return None
+    w = obj["weights"]
+    if w["kind"] == "constant":
+        schedule = constant_weights(w["constant"])
+    elif w["kind"] == "pascal":
+        schedule = pascal_weights(len(w["table"]), w.get("epsilon", 1.0))
+    else:
+        assert w["kind"] == "pascal_scaled"
+        d = len(w["table"])
+        schedule = pascal_weights_scaled(d, [x * (d - l + 1) / l
+                                             for l, x in enumerate(w["table"], start=1)])
+    if schedule.table is not None:
+        assert list(schedule.table) == [float(x) for x in w["table"]
+                                        if type(x) in (int, float)]
+    return TmdConfig(obj["depth"], schedule, obj.get("mode", "sum"))
+
+
 @ODD_NUMBERS
 @FUZZ
-@given(st.sampled_from(HEADERS), st.data())
-def test_mutated_csv_header(tmp_path, header, data):
+@given(st.sampled_from(HEADERS), st.integers(0, 3), st.data())
+def test_mutated_csv_header(tmp_path, header, level, data):
     path, labels = tmp_path / "m.csv", tmp_path / "labels.txt"
     labels.write_text("0\n1\n")
-    text = json.dumps(data.draw(mutated_json(header)), separators=(",", ":"))
-    path.write_text(f"# config:{text}\n0.0,1.0\n1.0,0.0\n")
+    # mutate the header, its config, its weights or one weights field, so the
+    # deepest fields are drawn as often as the top ones
+    keys = ["header", "config", "weights",
+            data.draw(st.sampled_from(sorted(header["config"]["weights"])))]
+    parent = root = {"header": copy.deepcopy(header)}
+    for key in keys[:level]:
+        parent = parent[key]
+    parent[keys[level]] = data.draw(mutated_json(parent[keys[level]]))
+    header = root["header"]
+    path.write_text(f"# config:{json.dumps(header, separators=(',', ':'))}\n0.0,1.0\n1.0,0.0\n")
     code, err = run_cli(["knn", "--matrix", path, "--labels", labels,
                          "--out", tmp_path / "k.json"])
     check_exit(code, err, f"{path}:1: ")
+    if code == 0:
+        echoed = json.loads((tmp_path / "k.json").read_text())["config"]
+        want = rebuilt_config(header)
+        assert json.dumps(echoed) == json.dumps(want and want.to_json())
 
 
 @st.composite

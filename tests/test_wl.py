@@ -63,6 +63,12 @@ def test_refinement_iteration_validation():
         wl_first_difference(a, b, 2)
 
 
+@pytest.mark.parametrize("iterations", [True, float("inf"), None, 1.5, "2"])
+def test_iterations_must_be_an_integer(iterations):
+    with pytest.raises(ValueError, match="iterations must be an integer >= 0"):
+        wl_first_difference(load_fixture("path3"), load_fixture("star4"), iterations)
+
+
 def _uniform_feature_pair(rng, n):
     ga = random_graph(n, float(rng.uniform(0.2, 0.8)), 1, int(rng.integers(1 << 30)))
     gb = random_graph(n, float(rng.uniform(0.2, 0.8)), 1, int(rng.integers(1 << 30)))
