@@ -85,7 +85,7 @@ def _node_drop(g, v, cfg):
     edited = drop_node(g, v)
     depth = cfg.depth
     p = prepare_graph(g)
-    widths = padded_tree_widths(p.pad, v, depth)
+    widths = padded_tree_widths(p.pad, p.pos[v], depth)
     lams = lambda_coefficients(cfg.schedule, depth)
     norms = _sum_norm_levels(p, cfg)
     bound = 0.0
@@ -100,8 +100,8 @@ def _edge_drop(g, u, v, cfg):
     depth = cfg.depth
     p = prepare_graph(g)
     lams = lambda_coefficients(cfg.schedule, depth)
-    widths_u = padded_tree_widths(p.pad, u, depth)
-    widths_v = padded_tree_widths(p.pad, v, depth)
+    widths_u = padded_tree_widths(p.pad, p.pos[u], depth)
+    widths_v = padded_tree_widths(p.pad, p.pos[v], depth)
     norms = _sum_norm_levels(p, cfg)
     bound = 0.0
     for l in range(1, depth):
@@ -117,7 +117,7 @@ def _node_perturbation(g, v, x_new, cfg):
     edited = perturb_feature(g, v, x_new)
     depth = cfg.depth
     p = prepare_graph(g)
-    widths = padded_tree_widths(p.pad, v, depth)
+    widths = padded_tree_widths(p.pad, p.pos[v], depth)
     lams = lambda_coefficients(cfg.schedule, depth)
     delta = float(np.linalg.norm(g.features[v] - edited.features[v]))
     bound = np.dot(lams, widths.astype(np.float64)) * delta

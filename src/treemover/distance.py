@@ -23,14 +23,21 @@ blanks and 0 for blank against blank.
 
 Each graph is prepared once (`prepare_graph`: its neighbour index, feature
 norms and zero-feature check), with one more node for the blank: a leaf of
-norm 0. The record does not depend on the config. A tree against a leaf
-(the blank included) moves each child to a blank, so its child transport is
-the (mode-scaled) sum of its children's entries in the previous table's
-blank column or row; the sum runs over exactly the tree's children, one
-bucket per degree, never over padding. So a table's blank row and column
-are the tree norms at every depth, and tree norms come only from there:
-`prepared_norm_levels` is the blank column of a graph's tables against the
-empty graph, read by `tree_norm_levels`, `tree_norm` and the bounds.
+norm 0. The record does not depend on the config. Its nodes are in
+stable-class order: a stable sort of `wl.refine_classes` run until the
+classes stop splitting, which refines every depth's classes. Sorted
+neighbour rows then run in class order, so by induction nodes of one class
+have bitwise-identical rows in every table: values, and the `gnn` forward
+pass on the same record, are bitwise invariant to node relabelling, and
+per-node results map back to input node v at position pos[v]. A tree
+against a leaf (the blank included) moves each child to a blank, so its
+child transport is the (mode-scaled) sum of its children's entries in the
+previous table's blank column or row; the sum runs over exactly the tree's
+children, one bucket per degree, never over padding. So a table's blank row
+and column are the tree norms at every depth, and tree norms come only
+from there: `prepared_norm_levels` is the blank column of a graph's tables
+against the empty graph, read by `tree_norm_levels`, `tree_norm` and the
+bounds.
 
 The engine runs on batches of graph pairs. A batch concatenates the tables of
 its pairs into one flat array per depth, with per-pair offsets. Each level
@@ -73,9 +80,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (AttributedGraph, check_feature_dims, check_node, graph_key, group_indices,
-                     neighbor_index)
+from .graphs import AttributedGraph, check_feature_dims, check_node, group_indices, neighbor_index
 from .schedule import ConfigError, TmdConfig
+from .wl import refine_classes
 
 
 def _load_extension(name):
@@ -172,11 +179,12 @@ class PreparedGraph(NamedTuple):
     """The per-graph part of the distance, computed once and valid under
     every config.
 
-    Every per-node array has one more entry, for the blank tree, at index n:
-    a leaf with norm 0. key is `graph_key`, which orders a pair canonically;
-    deg and pad are `graphs.neighbor_index`; norms are the depth-1 tree
-    norms (the feature norms); zero_features tells whether some node has an
-    all-zero feature vector.
+    Nodes are in stable-class order, input node v at pos[v], and every
+    per-node array has one more entry, for the blank tree, at index n: a
+    leaf with norm 0. deg and pad are `graphs.neighbor_index` in that order,
+    pad rows sorted; norms are the feature norms; zero_features tells
+    whether some node has an all-zero feature vector. key, the bytes of
+    features and pad, orders a pair; equal keys mean equal records.
     """
 
     features: np.ndarray
@@ -185,6 +193,7 @@ class PreparedGraph(NamedTuple):
     pad: np.ndarray
     norms: np.ndarray
     zero_features: bool
+    pos: np.ndarray
 
     @property
     def node_count(self):
@@ -196,16 +205,26 @@ class PreparedGraph(NamedTuple):
 
 
 def prepare_graph(g):
-    """The PreparedGraph of g."""
+    """The PreparedGraph of g; refinement stops at a stable or discrete partition."""
+    n, count = g.node_count, 0
+    for (classes,) in refine_classes([g]):
+        if (grown := max(classes, default=-1) + 1) in (count, n):
+            break
+        count = grown
+    order = np.append(np.argsort(classes, kind="stable"), n)
+    pos = np.argsort(order)
     deg, pad = neighbor_index(g)
-    x = g.features
-    norms = np.zeros(len(deg))
+    deg, pad = deg[order], np.sort(pos[pad[order]], axis=1)
+    # + 0.0 folds -0.0 into 0.0, which refinement does not tell apart
+    x = g.features[order[:-1]] + 0.0
+    norms = np.zeros(n + 1)
     # np.linalg.norm(x, axis=1) of real x, bitwise; a norm that overflows is
     # inf, reported by the tables' overflow check
     with np.errstate(over="ignore"):
         np.sqrt((x * x).sum(axis=1), out=norms[:-1])
     zero_features = not (x != 0.0).any(axis=1).all()
-    return PreparedGraph(x, graph_key(g), deg, pad, norms, zero_features)
+    return PreparedGraph(x, (x.shape, x.tobytes(), pad.tobytes()), deg, pad, norms,
+                         zero_features, pos[:-1])
 
 
 def _batch_layout(pairs):
@@ -354,14 +373,14 @@ def _check_pair(a, b):
 
 
 def tree_distance(ga, u, gb, v, depth, cfg):
-    """Distance between the depth-`depth` trees rooted at u in ga and v in gb:
-    cell [u, v] of the pair's last table."""
+    """Distance between the depth-`depth` trees rooted at input node u of ga
+    and input node v of gb: their cell of the pair's last table."""
     check_node(ga, u)
     check_node(gb, v)
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
     a, b = prepare_graph(ga), prepare_graph(gb)
     _check_pair(a, b)
-    return float(_batch_tables([(a, b)], local)[0][-1][u * (gb.node_count + 1) + v])
+    return float(_batch_tables([(a, b)], local)[0][-1][a.pos[u] * (b.node_count + 1) + b.pos[v]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,16 +390,15 @@ def _empty_graph(dim):
 
 
 def prepared_norm_levels(p, cfg):
-    """Per-node tree norms at depths 1..cfg.depth of the graph whose
+    """Per-input-node tree norms at depths 1..cfg.depth of the graph whose
     PreparedGraph is p: the blank column of its tables against the empty
     graph. Raises ConfigError naming the first depth whose norms overflow.
     """
-    n = p.node_count
-    return [t[:n] for t in _batch_tables([(p, _empty_graph(p.feature_dim))], cfg)[0]]
+    return [t[p.pos] for t in _batch_tables([(p, _empty_graph(p.feature_dim))], cfg)[0]]
 
 
 def tree_norm_levels(g, depth, cfg):
-    """Per-node tree norms for every depth 1..depth; list of length `depth`.
+    """Per-input-node tree norms for every depth 1..depth; list of length `depth`.
 
     The norm of a tree is its distance to the blank tree: the root feature
     norm plus the weighted (mode-scaled) sum of child tree norms. Raises
@@ -391,7 +409,7 @@ def tree_norm_levels(g, depth, cfg):
 
 
 def tree_norm(g, v, depth, cfg):
-    """Distance between the depth-`depth` tree rooted at v and the blank tree."""
+    """Distance between the depth-`depth` tree at input node v and the blank tree."""
     check_node(g, v)
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
     p = prepare_graph(g)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
-from .graphs import (DatasetFormatError, group_indices, load_json, neighbor_index,
-                     number_array, write_json)
+from .graphs import DatasetFormatError, group_indices, load_json, number_array, write_json
 from .schedule import (ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled,
                        positive_finite)
 
@@ -175,29 +174,12 @@ def random_gin(feature_dim, hidden_dim, num_layers, seed, aggregation="sum",
     return make_gin(layers, readout, epsilon=epsilon, aggregation=aggregation)
 
 
-def _canonical_sums(rows):
-    """Sum of each of the P multisets of d rows in rows, shape (P, d, h).
-
-    One stable lexsort whose primary key is the multiset orders every
-    multiset's rows lexicographically, so each sum adds the same rows in the
-    same order whatever order they came in.
-    """
-    p, d, h = rows.shape
-    if d > 1:
-        flat = rows.reshape(-1, h)
-        owner = np.repeat(np.arange(p), d)
-        rows = flat[np.lexsort((*flat.T[::-1], owner))].reshape(rows.shape)
-    return rows.sum(axis=1)
-
-
 def gin_forward(model, g):
-    """Graph-level embedding; bitwise invariant to node relabelling.
-
-    Neighbour rows are summed per exact degree in lexicographic order, and
-    the pooled node embeddings likewise, so every sum is order-canonical.
-    """
+    """Graph-level embedding; bitwise invariant to node relabelling, as it runs
+    on g's `prepare_graph` record: nodes of one stable class get identical
+    embeddings, and neighbour rows and the readout sum in class order."""
     _check_input(model, g)
-    return _forward(model, g.features, *neighbor_index(g))
+    return _forward(model, prepare_graph(g))
 
 
 def _check_input(model, g):
@@ -208,26 +190,26 @@ def _check_input(model, g):
         )
 
 
-def _forward(model, x, deg, pad):
-    """`gin_forward` of the graph with features x and `neighbor_index`
-    layout (deg, pad); the nodes of each degree d > 0 aggregate their
-    (P, d) neighbour rows as one block."""
+def _forward(model, p):
+    """`gin_forward` of the graph whose `prepare_graph` record is p; the
+    nodes of each degree d > 0 aggregate their (P, d) neighbour rows as one
+    block."""
     mean = model.aggregation == "mean"
-    buckets = [(nodes, pad[nodes, :d], d) for d, nodes in group_indices(deg) if d]
-    z = x
+    buckets = [(nodes, p.pad[nodes, :d], d) for d, nodes in group_indices(p.deg) if d]
+    z = p.features
     for layer in model.layers:
         agg = np.zeros_like(z)
         for nodes, nbrs, d in buckets:
-            total = _canonical_sums(z[nbrs])
+            total = z[nbrs].sum(axis=1)
             agg[nodes] = total / d if mean else total
         if layer.neighbor_weight is not None:
             pre = z + agg @ layer.neighbor_weight.T
         else:
             pre = z + model.epsilon * agg
         z = np.maximum(pre @ layer.weight.T + layer.bias, 0.0)
-    pooled = _canonical_sums(z[None])[0]
-    if mean and len(x):
-        pooled = pooled / len(x)
+    pooled = z.sum(axis=0)
+    if mean and len(z):
+        pooled = pooled / len(z)
     return pooled @ model.readout.weight.T + model.readout.bias
 
 
@@ -280,8 +262,7 @@ def lipschitz_check(model, ga, gb, cfg=None):
     a, b = prepare_graph(ga), prepare_graph(gb)
     # the distance first: an overflowing schedule raises before the forward passes do
     dist = prepared_tmd(a, b, cfg)
-    lhs = float(np.linalg.norm(_forward(model, a.features, a.deg, a.pad)
-                               - _forward(model, b.features, b.deg, b.pad)))
+    lhs = float(np.linalg.norm(_forward(model, a) - _forward(model, b)))
     rhs = model.lipschitz_product() * dist
     if rhs > 0:
         ratio = lhs / rhs

@@ -28,11 +28,11 @@ def refine_classes(graphs):
     graphs = list(graphs)
     keys = [list(map(tuple, g.features.tolist())) for g in graphs]
     while True:
-        rank = {k: r for r, k in enumerate(sorted({k for ks in keys for k in ks}))}
+        rank = {k: r for r, k in enumerate(sorted(set().union(*keys)))}
         classes = [[rank[k] for k in ks] for ks in keys]
         yield classes
         keys = [
-            [(c[v], tuple(sorted(c[u] for u in nbrs)))
+            [(c[v], tuple(sorted(map(c.__getitem__, nbrs))))
              for v, nbrs in enumerate(g.neighbors)]
             for g, c in zip(graphs, classes)
         ]

@@ -4,28 +4,37 @@ Each function is the plain loop, or the separate code path, the package used
 before its hot path was vectorized or merged into a shared one; tests
 require byte-equal results, because the new code adds the same values in
 the same order. The references are built from per-cell loops and SciPy's
-public functions, never from the engine: of the package they read only
-`graph_key`, `ot._padded_matrix` and `ot._peel_flows`.
+public functions, never from the engine: of the package they read only the
+node order of `distance.prepare_graph` (through `canonical`), a pair's
+`prepare_graph` key, `graphs.permute_nodes`, `ot._padded_matrix` and
+`ot._peel_flows`.
 
 `reference_tables` and `reference_tmd` are the one reference of the
 distance. Every transport in them, the graph-level one included, goes
-through `_reference_cost`, their only assignment call.
+through `_reference_cost`, their only assignment call. The bitwise
+references compute on `canonical` graphs, so they add in the engine's node
+order.
 """
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
-from treemover.graphs import graph_key
+from treemover.distance import prepare_graph
+from treemover.graphs import AttributedGraph, permute_nodes
 from treemover.ot import _padded_matrix, _peel_flows
 
 
-def _lex_sorted(rows):
-    return rows[np.lexsort(rows.T[::-1])] if rows.shape[0] > 1 else rows
+def canonical(g):
+    """g relabelled into the stable-class order of its `prepare_graph`
+    record, with -0.0 features folded into 0.0 as the record folds them."""
+    c = permute_nodes(g, prepare_graph(g).pos.tolist())
+    return AttributedGraph(c.features + 0.0, c.edges)
 
 
 def reference_gin_forward(model, g):
-    """`gin_forward` with one sorted neighbour sum per node."""
+    """`gin_forward` with one neighbour sum per node, in canonical order."""
+    g = canonical(g)
     mean = model.aggregation == "mean"
     z = g.features
     for layer in model.layers:
@@ -33,7 +42,7 @@ def reference_gin_forward(model, g):
         for v in range(g.node_count):
             nb = g.neighbors[v]
             if nb:
-                agg[v] = _lex_sorted(z[list(nb)]).sum(axis=0)
+                agg[v] = z[list(nb)].sum(axis=0)
                 if mean:
                     agg[v] /= len(nb)
         if layer.neighbor_weight is not None:
@@ -42,7 +51,7 @@ def reference_gin_forward(model, g):
             pre = z + model.epsilon * agg
         z = np.maximum(pre @ layer.weight.T + layer.bias, 0.0)
     if g.node_count:
-        pooled = _lex_sorted(z).sum(axis=0)
+        pooled = z.sum(axis=0)
         if mean:
             pooled = pooled / g.node_count
     else:
@@ -85,7 +94,9 @@ def _reference_cost(core, row_norms, col_norms, mean):
 def reference_tables(ga, gb, cfg):
     """The depth-1..cfg.depth tables of one pair as (n_a + 1, n_b + 1)
     arrays, the blank last, by one np.ix_ gather and one transport per node
-    pair."""
+    pair. Rows and columns are in `canonical` order: input node u of ga is
+    row `prepare_graph(ga).pos[u]`."""
+    ga, gb = canonical(ga), canonical(gb)
     na, nb = ga.node_count, gb.node_count
     mean = cfg.mode == "mean"
     base = cdist(ga.features, gb.features) if na and nb else np.zeros((na, nb))
@@ -124,9 +135,9 @@ def reference_tables(ga, gb, cfg):
 
 
 def reference_tmd(ga, gb, cfg):
-    """`tmd`: the pair in canonical order, and the graph-level transport of
-    its root trees over the last `reference_tables` table."""
-    if graph_key(gb) < graph_key(ga):
+    """`tmd`: the pair in `prepare_graph` key order, and the graph-level
+    transport of its root trees over the last `reference_tables` table."""
+    if prepare_graph(gb).key < prepare_graph(ga).key:
         ga, gb = gb, ga
     na, nb = ga.node_count, gb.node_count
     last = reference_tables(ga, gb, cfg)[-1]

@@ -782,6 +782,7 @@ def test_exit_malformed_distance_csv(two_cluster_dir, tmp_path, capsys):
     _, labels = two_cluster_dir
     body = "0.0,1.0\n1.0,0.0\n"
     pascal = {"kind": '"pascal"', "constant": "null"}
+    scaled = {"kind": '"pascal_scaled"', "constant": "null"}
     for name, text, line in (("ragged.csv", "0.0,1.0\n1.0\n", 2),
                              ("words.csv", "0.0,one\n1.0,0.0\n", 1),
                              ("no_ids.csv", '# config:{"config":null}\n' + body, 1),
@@ -794,6 +795,9 @@ def test_exit_malformed_distance_csv(two_cluster_dir, tmp_path, capsys):
                              ("bool.csv", _header(constant="true") + body, 1),
                              ("word_in_table.csv", _header(**pascal, table='[1,"x"]') + body, 1),
                              ("foreign_table.csv", _header(**pascal, table="[5.0,5.0]") + body, 1),
+                             ("bool_scaled.csv", _header(**scaled, table="[true,2.0]") + body, 1),
+                             ("text_scaled.csv", _header(**scaled, table='["1.5",2.0]') + body, 1),
+                             ("minus_scaled.csv", _header(**scaled, table="[-1,2.0]") + body, 1),
                              ("bogus_kind.csv", _header(kind='"bogus"') + body, 1)):
         mat = tmp_path / name
         mat.write_text(text)

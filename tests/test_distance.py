@@ -4,6 +4,7 @@ counts."""
 
 import ast
 import cProfile
+import itertools
 import pstats
 import re
 import warnings
@@ -23,7 +24,7 @@ from treemover import (AttributedGraph, ConfigError, GraphDataset, TmdConfig,
 from treemover.graphs import graph_key
 
 from conftest import load_fixture
-from references import reference_tables, reference_tmd
+from references import canonical, reference_tables, reference_tmd
 
 W1 = constant_weights(1.0)
 
@@ -106,12 +107,14 @@ def test_level1_table_is_feature_distance_plus_norms():
     ga = random_graph(4, 0.5, 3, seed=2)
     gb = random_graph(3, 0.5, 3, seed=3)
     [t1] = _pair_tables(ga, gb, cfg(1))
+    # the table's rows and columns are in stable-class order
+    xa, xb = canonical(ga).features, canonical(gb).features
     for u in range(4):
         for v in range(3):
-            want = np.linalg.norm(ga.features[u] - gb.features[v])
+            want = np.linalg.norm(xa[u] - xb[v])
             assert t1[u, v] == pytest.approx(want, rel=1e-15)
-    np.testing.assert_allclose(t1[:-1, -1], np.linalg.norm(ga.features, axis=1))
-    np.testing.assert_allclose(t1[-1, :-1], np.linalg.norm(gb.features, axis=1))
+    np.testing.assert_allclose(t1[:-1, -1], np.linalg.norm(xa, axis=1))
+    np.testing.assert_allclose(t1[-1, :-1], np.linalg.norm(xb, axis=1))
     assert t1[4, 3] == 0.0
     assert t1.tobytes() == reference_tables(ga, gb, cfg(1))[0].tobytes()
 
@@ -125,8 +128,9 @@ def test_table_norm_columns_match_tree_norm():
                 for g, norms in ((ga, ref[:-1, -1]), (gb, ref[-1, :-1])):
                     if g.node_count:
                         v = depth % g.node_count
+                        pos = distance_module.prepare_graph(g).pos
                         assert np.float64(tree_norm(g, v, depth, c)).tobytes() == \
-                            norms[v].tobytes()
+                            norms[pos[v]].tobytes()
 
 
 def test_edge_pair_tree_norms_depth2():
@@ -310,7 +314,29 @@ def test_signed_zeros_do_not_change_the_canonical_order():
     b = AttributedGraph(np.array([[0.0, 0.4], [-0.7, -0.4], [0.0, -0.9], [-0.8, -1.0]]))
     c = cfg(3, "sum", constant_weights(0.5))
     assert a == a_neg and graph_key(a) == graph_key(a_neg)
+    assert distance_module.prepare_graph(a).key == distance_module.prepare_graph(a_neg).key
     assert tmd(a_neg, b, c).hex() == tmd(a, b, c).hex()
+
+
+def test_relabelling_keeps_the_orientation_of_equal_feature_graphs():
+    # equal sorted features, different edges: the pair's two orientations
+    # differ in the last bit, so its key orders it by the edges as well
+    x = np.array([[-0.3], [0.3], [0.4], [0.1]])
+    a = AttributedGraph(x, [(0, 1), (1, 2), (1, 3)])
+    b = AttributedGraph(x, [(0, 3), (2, 3)])
+    c = TmdConfig(3, pascal_weights(4), "sum")
+    pa, pb = distance_module.prepare_graph(a), distance_module.prepare_graph(b)
+    assert pa.features.tobytes() == pb.features.tobytes()
+    both = set()
+    for pair in ((pa, pb), (pb, pa)):
+        tables, starts = distance_module._batch_tables([pair], c)
+        buckets = distance_module._root_buckets([pair], starts)
+        both |= {float(distance_module._child_costs(tables[-1], *buckets, 1, False)[0])}
+    assert len(both) == 2
+    want = tmd(a, b, c)
+    assert want in both and tmd(b, a, c) == want
+    for perm in itertools.permutations(range(4)):
+        assert tmd(permute_nodes(a, perm), permute_nodes(b, perm[::-1]), c) == want
 
 
 # ------------------------------------------------------------ naive parity
@@ -374,7 +400,8 @@ def test_reference_reads_nothing_of_the_engine():
         elif isinstance(node, ast.ImportFrom):
             names |= {(node.module, alias.name) for alias in node.names}
     assert {(m, a) for m, a in names if m.split(".")[0] == "treemover"} == {
-        ("treemover.graphs", "graph_key"), ("treemover.ot", "_padded_matrix"),
+        ("treemover.distance", "prepare_graph"), ("treemover.graphs", "AttributedGraph"),
+        ("treemover.graphs", "permute_nodes"), ("treemover.ot", "_padded_matrix"),
         ("treemover.ot", "_peel_flows")}
 
 
@@ -409,14 +436,17 @@ def test_tables_bitwise_equal_per_cell_reference(mode):
                 assert [t.tobytes() for t in _pair_tables(a, b, c)] == \
                     [t.tobytes() for t in want]
                 # tree_distance builds a pair's tables per call: every cell of
-                # a small pair, one cell a depth of a larger one
+                # a small pair, one cell a depth of a larger one, each at its
+                # input nodes' positions
+                pa = distance_module.prepare_graph(a).pos
+                pb = distance_module.prepare_graph(b).pos
                 for depth, ref in enumerate(want, start=1):
                     cells = [(u, v) for u in range(a.node_count) for v in range(b.node_count)]
                     if len(cells) > 64:
                         cells = [(depth % a.node_count, 3 * depth % b.node_count)]
                     for u, v in cells:
                         got_cell = tree_distance(a, u, b, v, depth, c)
-                        assert np.float64(got_cell).tobytes() == ref[u, v].tobytes()
+                        assert np.float64(got_cell).tobytes() == ref[pa[u], pb[v]].tobytes()
             for depth in (1, 2, 3, 4):
                 cd = TmdConfig(depth, schedule, mode)
                 want = reference_tmd(ga, gb, cd)
@@ -430,7 +460,8 @@ def test_norm_levels_bitwise_equal_per_node_loop(mode):
     for g in {g for pair in _differential_pairs() for g in pair}:
         got = tree_norm_levels(g, 4, c)
         want = reference_tables(g, AttributedGraph(np.zeros((0, 3)), []), c)
-        assert [lv.tobytes() for lv in got] == [t[:-1, -1].tobytes() for t in want]
+        pos = distance_module.prepare_graph(g).pos
+        assert [lv.tobytes() for lv in got] == [t[:-1, -1][pos].tobytes() for t in want]
 
 
 def _profiled_assignments(fn, *args):
@@ -537,10 +568,12 @@ def test_assignment_columns_read_with_the_solvers_dtype(monkeypatch, mode):
 
 
 def _differential_batch():
-    """Every differential pair in both orders, as graphs and as one batch."""
+    """Every differential pair in both orders, as one batch and as the
+    `canonical` graphs whose node ids are the batch's positions."""
     graphs = [(a, b) for ga, gb in _differential_pairs() for a, b in ((ga, gb), (gb, ga))]
     prepared = {g: distance_module.prepare_graph(g) for pair in graphs for g in pair}
-    return graphs, [(prepared[a], prepared[b]) for a, b in graphs]
+    return ([(canonical(a), canonical(b)) for a, b in graphs],
+            [(prepared[a], prepared[b]) for a, b in graphs])
 
 
 def test_child_buckets_hold_every_eligible_pair_once():

@@ -3,7 +3,10 @@
 Graphs have at most 12 nodes, so degrees reach 11, and features drawn from
 {-1, 0, 0.5, 1}, so neighbour rows tie often. The vectorized GIN forward
 pass and tree widths must equal their per-node reference loops bitwise, the
-forward pass must be bitwise invariant to node relabelling, and a pair's
+forward pass must be bitwise invariant to node relabelling, and so must
+`tmd`, a `pairwise_tmd` cell, `tree_distance`, `tree_norm` and both sides of
+a Lipschitz check when both graphs are relabelled (features drawn from
+quarters, zeros of both signs). A pair's
 distance must not depend on the other pairs of its batch and must equal the
 per-cell reference, `references.reference_tmd`. Every edit bound
 covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
@@ -48,7 +51,7 @@ from treemover import (AttributedGraph, DistanceMatrix, GraphDataset, TmdConfig,
                        node_drop_bound, node_perturbation_bound, pairwise_tmd,
                        pascal_weights, pascal_weights_scaled, permute_nodes, perturb_feature,
                        random_gin, random_graph, save_dataset_json, save_distance_csv, tmd,
-                       tree_widths)
+                       tree_distance, tree_norm, tree_widths)
 from treemover import cli
 from treemover.distance import pair_distances, prepare_graph
 from treemover.wl import refine_classes
@@ -59,6 +62,7 @@ from test_tudataset import write_dataset
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
 SIGNED = (-1.0, -0.0, 0.0, 1.0)
+QUARTERS = tuple(i / 4 for i in range(-4, 5)) + (-0.0,)
 SCHEDULES = (constant_weights(0.7), pascal_weights(4))
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 ZERO_ROWS = pytest.mark.filterwarnings("ignore:.*all-zero feature vectors:RuntimeWarning")
@@ -98,6 +102,31 @@ def test_gin_forward_bitwise_relabel_invariant(g, data):
     m = data.draw(models(g.feature_dim))
     perm = data.draw(st.permutations(range(g.node_count)))
     assert gin_forward(m, permute_nodes(g, perm)).tobytes() == gin_forward(m, g).tobytes()
+
+
+@ZERO_ROWS
+@PROPERTY
+@given(st.data())
+def test_distances_bitwise_relabel_invariant(data):
+    dim = data.draw(st.integers(1, 3))
+    ga, gb = (data.draw(graphs(dim=dim, values=QUARTERS)) for _ in range(2))
+    pa, pb = (data.draw(st.permutations(range(g.node_count))) for g in (ga, gb))
+    ha, hb = permute_nodes(ga, pa), permute_nodes(gb, pb)
+    c = data.draw(configs())
+    assert tmd(ha, hb, c).hex() == tmd(ga, gb, c).hex()
+    cells = [pairwise_tmd(GraphDataset(pair), None, c).values[0, 1]
+             for pair in ((ga, gb), (ha, hb))]
+    assert cells[1].tobytes() == cells[0].tobytes()
+    if ga.node_count and gb.node_count:
+        u = data.draw(st.integers(0, ga.node_count - 1))
+        v = data.draw(st.integers(0, gb.node_count - 1))
+        assert tree_distance(ha, pa[u], hb, pb[v], c.depth, c).hex() == \
+            tree_distance(ga, u, gb, v, c.depth, c).hex()
+        assert tree_norm(ha, pa[u], c.depth, c).hex() == tree_norm(ga, u, c.depth, c).hex()
+    m = data.draw(models(dim))
+    checks = [lipschitz_check(m, *pair) for pair in ((ga, gb), (ha, hb))]
+    assert [(k.lhs.hex(), k.tmd_value.hex()) for k in checks][1] == \
+        (checks[0].lhs.hex(), checks[0].tmd_value.hex())
 
 
 @PROPERTY
