@@ -3,9 +3,12 @@
 Pairwise matrices (optionally parallel and deterministic regardless of
 worker count), the optimal transport distance between whole datasets under
 uniform graph masses, and distribution-shift reports ranking test sets by
-that distance. A matrix prepares each graph once in the parent and runs
+that distance. `pairwise_tmd`, `dataset_w1` and `shift_report` prepare each
+graph once per call, in the parent, and run one matrix over those records,
 each row in batches (`distance.pair_distances`); a shift report computes
-one train x (all test sets) matrix, so it forks at most once.
+one train x (all test sets) matrix, so it forks at most once. A dataset
+pair's transport is oriented by size, then by its graphs' record keys, so
+W1 is bitwise symmetric and invariant to node relabelling.
 
 A parallel matrix splits its rows into a fixed set of shares, greedy
 largest-first on the child-cost entries each row gathers
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distance import gathered_entries, pair_distances, prepare_graph, warn_zero_features
-from .graphs import GraphDataset, check_feature_dims, graph_key
+from .graphs import check_feature_dims
 from .matrix import DistanceMatrix
 from .schedule import ConfigError
 
@@ -98,30 +101,18 @@ def _forked_rows(prep_a, prep_b, cfg, shares):
             recv.close()
 
 
-def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
-    """Distance matrix between two datasets (or within one when ds_b is None).
-
-    The self case computes the upper triangle only and mirrors it, with an
-    exactly zero diagonal. Cell values do not depend on `threads`: at most
-    `threads` processes compute, this one included, and never more than
-    the matrix has rows. One RuntimeWarning names how many graphs hold
-    all-zero feature vectors. A matrix that overflows raises the
-    ConfigError of its first overflowing row, which names the first depth
-    at which any pair of that row's first overflowing batch overflows.
-    """
-    self_mode = ds_b is None or ds_b is ds_a
-    if not self_mode:
-        check_feature_dims(ds_a, ds_b)
+def _matrix(prep_a, prep_b, cfg, threads):
+    """The distances of PreparedGraphs prep_a against prep_b, or within
+    prep_a (upper triangle mirrored, zero diagonal) when prep_b is prep_a:
+    see `pairwise_tmd`."""
+    self_mode = prep_b is prep_a
     threads = max(1, int(threads))
-    na = len(ds_a)
-    nb = na if self_mode else len(ds_b)
+    na, nb = len(prep_a), len(prep_b)
     out = np.zeros((na, nb))
     if self_mode:
         tasks = [(i, list(range(i + 1, na))) for i in range(na) if i + 1 < na]
     else:
         tasks = [(i, list(range(nb))) for i in range(na)]
-    prep_a = [prepare_graph(g) for g in ds_a.graphs]
-    prep_b = prep_a if self_mode else [prepare_graph(g) for g in ds_b.graphs]
     prepared = prep_a if self_mode else prep_a + prep_b
     warn_zero_features(sum(p.zero_features for p in prepared), len(prepared))
     workers = min(threads, len(tasks))
@@ -142,36 +133,59 @@ def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
                 out[i, j] = v
                 if self_mode:
                     out[j, i] = v
-    ids_a = tuple(str(i) for i in range(na))
-    ids_b = ids_a if self_mode else tuple(str(j) for j in range(nb))
-    return DistanceMatrix(out, ids_a, ids_b, cfg)
+    return out
 
 
-def _dataset_key(ds):
-    return tuple(graph_key(g) for g in ds.graphs)
+def pairwise_tmd(ds_a, ds_b, cfg, threads=1):
+    """Distance matrix between two datasets (or within one when ds_b is None).
+
+    The self case computes the upper triangle only and mirrors it, with an
+    exactly zero diagonal. Cell values do not depend on `threads`: at most
+    `threads` processes compute, this one included, and never more than
+    the matrix has rows. One RuntimeWarning names how many graphs hold
+    all-zero feature vectors. A matrix that overflows raises the
+    ConfigError of its first overflowing row, which names the first depth
+    at which any pair of that row's first overflowing batch overflows.
+    """
+    self_mode = ds_b is None or ds_b is ds_a
+    if not self_mode:
+        check_feature_dims(ds_a, ds_b)
+    prep_a = [prepare_graph(g) for g in ds_a.graphs]
+    prep_b = prep_a if self_mode else [prepare_graph(g) for g in ds_b.graphs]
+    ids_a = tuple(str(i) for i in range(len(prep_a)))
+    ids_b = ids_a if self_mode else tuple(str(j) for j in range(len(prep_b)))
+    return DistanceMatrix(_matrix(prep_a, prep_b, cfg, threads), ids_a, ids_b, cfg)
 
 
-def _canonical(ds_a, ds_b):
-    """The two datasets in canonical order, and whether they were swapped."""
-    swap = _dataset_key(ds_b) < _dataset_key(ds_a)
-    return (ds_b, ds_a, True) if swap else (ds_a, ds_b, False)
+def _dataset_key(prep):
+    """The orientation key of a dataset's PreparedGraphs: its size, then
+    their keys."""
+    return len(prep), tuple(p.key for p in prep)
 
 
-def _check_w1_inputs(ds_a, ds_b):
-    if len(ds_a) == 0 or len(ds_b) == 0:
+def _canonical(prep_a, prep_b):
+    """Two datasets' PreparedGraphs in canonical order, and whether they
+    were swapped."""
+    swap = _dataset_key(prep_b) < _dataset_key(prep_a)
+    return (prep_b, prep_a, True) if swap else (prep_a, prep_b, False)
+
+
+def _check_w1_inputs(prep_a, prep_b):
+    if not prep_a or not prep_b:
         raise ValueError("datasets must be non-empty")
-    check_feature_dims(*_canonical(ds_a, ds_b)[:2])
+    a, b, _ = _canonical(prep_a, prep_b)
+    check_feature_dims(a[0], b[0])
 
 
-def _w1(values, ds_a, ds_b):
-    """W1 from the ds_a x ds_b block of distances, solved in the canonical
-    orientation (a swapped pair solves the transposed block with swapped
-    masses), so the value is bitwise symmetric."""
+def _w1(values, prep_a, prep_b):
+    """W1 from the prep_a x prep_b block of distances, solved in the
+    canonical orientation (a swapped pair solves the transposed block with
+    swapped masses), so the value is bitwise symmetric."""
     from .ot import solve_transport
 
-    ds_a, ds_b, swap = _canonical(ds_a, ds_b)
-    a = np.full(len(ds_a), 1.0 / len(ds_a))
-    b = np.full(len(ds_b), 1.0 / len(ds_b))
+    prep_a, prep_b, swap = _canonical(prep_a, prep_b)
+    a = np.full(len(prep_a), 1.0 / len(prep_a))
+    b = np.full(len(prep_b), 1.0 / len(prep_b))
     return solve_transport(values.T if swap else values, a, b).cost
 
 
@@ -180,10 +194,13 @@ def dataset_w1(ds_a, ds_b, cfg, threads=1):
 
     Ground cost is the pairwise tree mover's distance; each graph carries
     mass 1/len(dataset). The transport is solved in a canonical order of the
-    arguments, so the value is bitwise symmetric.
+    arguments (size, then record keys), so the value is bitwise symmetric
+    and invariant to node relabelling.
     """
-    _check_w1_inputs(ds_a, ds_b)
-    return _w1(pairwise_tmd(ds_a, ds_b, cfg, threads=threads).values, ds_a, ds_b)
+    prep_a = [prepare_graph(g) for g in ds_a.graphs]
+    prep_b = prep_a if ds_b is ds_a else [prepare_graph(g) for g in ds_b.graphs]
+    _check_w1_inputs(prep_a, prep_b)
+    return _w1(_matrix(prep_a, prep_b, cfg, threads), prep_a, prep_b)
 
 
 def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
@@ -197,15 +214,16 @@ def shift_report(train, tests, cfg, lipschitz_product=None, threads=1):
     """
     if lipschitz_product is not None and not 0 <= lipschitz_product < np.inf:
         raise ConfigError(f"Lipschitz product must be finite and >= 0, got {lipschitz_product}")
-    for ds in tests:
-        _check_w1_inputs(train, ds)
+    prep_train = [prepare_graph(g) for g in train.graphs]
+    prep_tests = [[prepare_graph(g) for g in ds.graphs] for ds in tests]
+    for prep in prep_tests:
+        _check_w1_inputs(prep_train, prep)
     entries = []
     if tests:
-        pooled = GraphDataset([g for ds in tests for g in ds.graphs])
-        values = pairwise_tmd(train, pooled, cfg, threads=threads).values
+        values = _matrix(prep_train, [p for prep in prep_tests for p in prep], cfg, threads)
         stops = np.cumsum([len(ds) for ds in tests])
-        for ds, stop in zip(tests, stops.tolist()):
-            w1 = _w1(values[:, stop - len(ds):stop], train, ds)
+        for ds, prep, stop in zip(tests, prep_tests, stops.tolist()):
+            w1 = _w1(values[:, stop - len(ds):stop], prep_train, prep)
             entry = {"test": ds.name, "w1": w1}
             if lipschitz_product is not None:
                 entry["risk_gap"] = 2.0 * float(lipschitz_product) * w1

@@ -50,12 +50,13 @@ empty graphs, two leaves, cost 0. `_child_costs` makes per size one `take` of
 the (P, s, s) child costs, one assignment per cell and one `take` of the
 assigned entries; per degree, one `take` and one sum. A cell's value does not
 depend on the other pairs of its batch. `pair_distances` is the one entry to
-the distance: it puts each pair in canonical key order, so every value is
-bitwise symmetric, and runs batches as large as a bound on their memory allows
-(a whole matrix row of molecule-sized graphs). `tmd` and the bounds reach it
-through `prepared_tmd`, and `analysis.pairwise_tmd` directly. A pair's checks
-and warnings have one home too, `_check_pair`, and every zero-feature warning
-names the caller's line outside the package (or in its command line).
+the distance: it puts each pair in the order of its record keys, which read
+neighbours by stable class, not by position, so every value is bitwise
+symmetric and relabel invariant. It runs batches as large as a bound on their
+memory allows (a whole matrix row of molecule-sized graphs). `tmd` and the
+bounds reach it through `prepared_tmd`, and `analysis` directly. A pair's
+checks and warnings have one home too, `_check_pair`, and every zero-feature
+warning names the caller's line outside the package (or in its command line).
 
 The engine calls two compiled SciPy functions: `linear_sum_assignment` and
 the Euclidean kernel that `scipy.spatial.distance.cdist(a, b)` runs.
@@ -183,8 +184,11 @@ class PreparedGraph(NamedTuple):
     per-node array has one more entry, for the blank tree, at index n: a
     leaf with norm 0. deg and pad are `graphs.neighbor_index` in that order,
     pad rows sorted; norms are the feature norms; zero_features tells
-    whether some node has an all-zero feature vector. key, the bytes of
-    features and pad, orders a pair; equal keys mean equal records.
+    whether some node has an all-zero feature vector. key orders a pair: the
+    features' shape and bytes, and the bytes of each node's neighbour
+    classes (pad through the stable classes, -1 for the blank). It does not
+    depend on the order inside a class, and equal keys mean an equal stable
+    quotient, so distance 0 in either orientation.
     """
 
     features: np.ndarray
@@ -213,6 +217,7 @@ def prepare_graph(g):
         count = grown
     order = np.append(np.argsort(classes, kind="stable"), n)
     pos = np.argsort(order)
+    ranks = np.array([*sorted(classes), -1], dtype=np.intp)
     deg, pad = neighbor_index(g)
     deg, pad = deg[order], np.sort(pos[pad[order]], axis=1)
     # + 0.0 folds -0.0 into 0.0, which refinement does not tell apart
@@ -223,7 +228,7 @@ def prepare_graph(g):
     with np.errstate(over="ignore"):
         np.sqrt((x * x).sum(axis=1), out=norms[:-1])
     zero_features = not (x != 0.0).any(axis=1).all()
-    return PreparedGraph(x, (x.shape, x.tobytes(), pad.tobytes()), deg, pad, norms,
+    return PreparedGraph(x, (x.shape, x.tobytes(), ranks[pad].tobytes()), deg, pad, norms,
                          zero_features, pos[:-1])
 
 
@@ -462,7 +467,7 @@ def _batches(pairs):
 def pair_distances(pairs, cfg):
     """The tree mover's distance of each (a, b) pair of PreparedGraphs.
 
-    Each pair is put in canonical key order, so its value does not depend
+    Each pair is put in record key order, so its value does not depend
     on the order of its two graphs and is bitwise `tmd`'s. Pairs run in
     consecutive batches, as many per batch as _BATCH_ENTRIES allows. Raises
     ConfigError naming the first depth at which any pair of the first

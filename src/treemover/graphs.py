@@ -106,7 +106,8 @@ class AttributedGraph:
         )
 
     def __hash__(self):
-        return hash(graph_key(self))
+        # + 0.0 folds -0.0 into 0.0, which __eq__ does not tell apart
+        return hash((self.features.shape, (self.features + 0.0).tobytes(), self.edges))
 
 
 def check_feature_dims(a, b):
@@ -115,12 +116,6 @@ def check_feature_dims(a, b):
         raise ValueError(
             f"feature dimensions differ: {a.feature_dim} vs {b.feature_dim}"
         )
-
-
-def graph_key(g):
-    """Canonical byte key, equal for equal graphs (+ 0.0 folds -0.0 into
-    0.0); used to order arguments of symmetric operations."""
-    return (g.features.shape, (g.features + 0.0).tobytes(), g.edges)
 
 
 def group_indices(keys):

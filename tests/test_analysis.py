@@ -25,11 +25,13 @@ from treemover import (
     load_distance_csv,
     pairwise_tmd,
     pascal_weights,
+    permute_nodes,
     random_graph,
     save_distance_csv,
     shift_report,
     tmd,
 )
+from treemover.distance import prepare_graph
 
 from test_ot import enumerate_transport
 
@@ -535,7 +537,10 @@ def shift_sets():
 
 def test_shift_report_w1_bitwise_equal_dataset_w1():
     train, tests = shift_sets()
-    key = analysis_module._dataset_key
+
+    def key(ds):
+        return analysis_module._dataset_key([prepare_graph(g) for g in ds.graphs])
+
     assert {key(t) < key(train) for t in tests} == {True, False}
     for mode in ("sum", "mean"):
         cfg = TmdConfig(depth=3, schedule=pascal_weights(3), mode=mode)
@@ -545,6 +550,55 @@ def test_shift_report_w1_bitwise_equal_dataset_w1():
         want = {t.name: dataset_w1(train, t, cfg) for t in tests}
         assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
             {k: np.float64(v).tobytes() for k, v in want.items()}
+
+
+def few_valued_dataset(count, rng):
+    """count graphs of 3-8 nodes whose features take one or two values, so
+    their stable classes often hold several nodes."""
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        values = (1.0,) if rng.random() < 0.5 else (0.5, 1.0)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        graphs.append(AttributedGraph(rng.choice(values, (n, 1)), edges))
+    return GraphDataset(graphs)
+
+
+@pytest.mark.parametrize("seed", range(150, 160))
+def test_w1_bitwise_relabel_invariant(seed):
+    # seed 152 flipped the orientation of its datasets when they were keyed
+    # by the bytes of their input-order graphs
+    rng = np.random.default_rng(seed)
+    ds_a, ds_b = few_valued_dataset(3, rng), few_valued_dataset(3, rng)
+    re_a, re_b = (GraphDataset([permute_nodes(g, rng.permutation(g.node_count).tolist())
+                                for g in ds.graphs]) for ds in (ds_a, ds_b))
+    c = TmdConfig(3, pascal_weights(4), "sum")
+    want = dataset_w1(ds_a, ds_b, c).hex()
+    assert dataset_w1(re_a, re_b, c).hex() == want
+    assert shift_report(re_a, [re_b], c)["entries"][0]["w1"].hex() == want
+
+
+def test_each_graph_is_prepared_once_per_call(monkeypatch):
+    prepared = []
+    real = analysis_module.prepare_graph
+
+    def counting(g):
+        prepared.append(id(g))
+        return real(g)
+
+    monkeypatch.setattr(analysis_module, "prepare_graph", counting)
+    train, tests = shift_sets()
+    cases = [
+        (lambda: pairwise_tmd(train, None, CFG), [train]),
+        (lambda: pairwise_tmd(train, tests[0], CFG), [train, tests[0]]),
+        (lambda: dataset_w1(train, tests[1], CFG), [train, tests[1]]),
+        (lambda: dataset_w1(train, train, CFG), [train]),
+        (lambda: shift_report(train, tests, CFG), [train, *tests]),
+    ]
+    for run, datasets in cases:
+        prepared.clear()
+        run()
+        assert sorted(prepared) == sorted(id(g) for ds in datasets for g in ds.graphs)
 
 
 def test_shift_report_without_tests():

@@ -6,7 +6,9 @@ pass and tree widths must equal their per-node reference loops bitwise, the
 forward pass must be bitwise invariant to node relabelling, and so must
 `tmd`, a `pairwise_tmd` cell, `tree_distance`, `tree_norm` and both sides of
 a Lipschitz check when both graphs are relabelled (features drawn from
-quarters, zeros of both signs). A pair's
+quarters, zeros of both signs), and `tmd` and a matrix cell of same-size
+graphs with one or two feature values, whose stable classes often hold
+several nodes. A pair's
 distance must not depend on the other pairs of its batch and must equal the
 per-cell reference, `references.reference_tmd`. Every edit bound
 covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
@@ -127,6 +129,21 @@ def test_distances_bitwise_relabel_invariant(data):
     checks = [lipschitz_check(m, *pair) for pair in ((ga, gb), (ha, hb))]
     assert [(k.lhs.hex(), k.tmd_value.hex()) for k in checks][1] == \
         (checks[0].lhs.hex(), checks[0].tmd_value.hex())
+
+
+@PROPERTY
+@given(st.data())
+def test_orientation_bitwise_relabel_invariant_on_few_feature_values(data):
+    n = data.draw(st.integers(3, 8))
+    values = data.draw(st.sampled_from([(1.0,), (0.5, 1.0)]))
+    ga, gb = (data.draw(graphs(min_nodes=n, dim=1, max_nodes=n, values=values))
+              for _ in range(2))
+    c = data.draw(configs())
+    want = tmd(ga, gb, c).hex()
+    for _ in range(3):
+        ha, hb = (permute_nodes(g, data.draw(st.permutations(range(n)))) for g in (ga, gb))
+        assert tmd(ha, hb, c).hex() == want
+        assert pairwise_tmd(GraphDataset([ha, hb]), None, c).values[0, 1].hex() == want
 
 
 @PROPERTY
