@@ -10,17 +10,18 @@ one train x (all test sets) matrix, so it forks at most once. A dataset
 pair's transport is oriented by size, then by its graphs' record keys, so
 W1 is bitwise symmetric and invariant to node relabelling.
 
-A parallel matrix splits its rows into a fixed set of shares, greedy
-largest-first on the child-cost entries each row gathers
-(`distance.gathered_entries`), a count and never a timing. The parent
-computes share 0 itself, and each other share runs in a multiprocessing
-child that sends its rows back through a pipe, so no process sits idle
-while the matrix runs. Importing this module loads the engine and the two
-compiled SciPy modules it calls, so a command that forks has them loaded
-before the fork. It loads no multiprocessing: `pairwise_tmd` imports it
-only when it forks. The dataset LP imports `ot` and loads SciPy's compiled
-HiGHS module when it first runs in the parent (see `ot`); no SciPy package
-is loaded.
+Every matrix, at any thread count, runs through one share runner
+(`_share_rows`). A matrix of more than one process splits its rows into a
+fixed set of shares, greedy largest-first on the child-cost entries each
+row gathers (`distance.gathered_entries`), a count and never a timing; a
+one-process matrix is a single share. The parent computes share 0 itself,
+and each later share runs in a multiprocessing child that sends its rows
+back through a pipe, so no process sits idle while the matrix runs.
+Importing this module loads the engine and the two compiled SciPy modules
+it calls, so a command that forks has them loaded before the fork. It
+loads no multiprocessing: the share runner imports it only when it forks.
+The dataset LP imports `ot` and loads SciPy's compiled HiGHS module when
+it first runs in the parent (see `ot`); no SciPy package is loaded.
 """
 
 from __future__ import annotations
@@ -65,14 +66,15 @@ def _shares(tasks, weights, count):
     return [sorted(share) for share in shares]
 
 
-def _forked_rows(prep_a, prep_b, cfg, shares):
-    """`_rows` of each share: share 0 in this process, each other share in a
-    child process that sends its rows back through a pipe. Every child is
-    reaped before this returns or raises, and terminated first if this
-    raises; one that exits without sending its rows raises
-    ChildProcessError, an OSError, so `tmd` exits 2 naming it."""
-    from multiprocessing import Pipe, Process
-
+def _share_rows(prep_a, prep_b, cfg, shares):
+    """`_rows` of each share: share 0 in this process, each later share in a
+    child process that sends its rows back through a pipe, so one share
+    forks nothing and imports no multiprocessing. Every child is reaped
+    before this returns or raises, and terminated first if this raises; one
+    that exits without sending its rows raises ChildProcessError, an
+    OSError, so `tmd` exits 2 naming it."""
+    if len(shares) > 1:
+        from multiprocessing import Pipe, Process
     children = []
     try:
         for share in shares[1:]:
@@ -104,9 +106,9 @@ def _forked_rows(prep_a, prep_b, cfg, shares):
 def _matrix(prep_a, prep_b, cfg, threads):
     """The distances of PreparedGraphs prep_a against prep_b, or within
     prep_a (upper triangle mirrored, zero diagonal) when prep_b is prep_a:
-    see `pairwise_tmd`."""
+    see `pairwise_tmd`. Every matrix runs through `_share_rows`, in one
+    share per process."""
     self_mode = prep_b is prep_a
-    threads = max(1, int(threads))
     na, nb = len(prep_a), len(prep_b)
     out = np.zeros((na, nb))
     if self_mode:
@@ -115,24 +117,21 @@ def _matrix(prep_a, prep_b, cfg, threads):
         tasks = [(i, list(range(nb))) for i in range(na)]
     prepared = prep_a if self_mode else prep_a + prep_b
     warn_zero_features(sum(p.zero_features for p in prepared), len(prepared))
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        shares = [tasks]
-        outcomes = [_rows(prep_a, prep_b, cfg, tasks)]
-    else:
+    workers = min(int(threads), len(tasks))
+    shares = [tasks]
+    if workers > 1:
         weights = [sum(gathered_entries(prep_a[i], prep_b[j]) for j in cols)
                    for i, cols in tasks]
         shares = _shares(tasks, weights, workers)
-        outcomes = _forked_rows(prep_a, prep_b, cfg, shares)
+    outcomes = _share_rows(prep_a, prep_b, cfg, shares)
     errors = [error for _, error in outcomes if error is not None]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     for share, (values, _) in zip(shares, outcomes):
         for (i, cols), vals in zip(share, values):
-            for j, v in zip(cols, vals):
-                out[i, j] = v
-                if self_mode:
-                    out[j, i] = v
+            out[i, cols] = vals
+            if self_mode:
+                out[cols, i] = vals
     return out
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import prepare_graph, prepared_norm_levels, prepared_tmd, tmd
+from .distance import cdist_euclidean, prepare_graph, prepared_norm_levels, prepared_tmd, tmd
 from .graphs import drop_edge, drop_node, perturb_feature
 from .schedule import TmdConfig
 from .trees import padded_tree_widths
@@ -119,7 +119,9 @@ def _node_perturbation(g, v, x_new, cfg):
     p = prepare_graph(g)
     widths = padded_tree_widths(p.pad, p.pos[v], depth)
     lams = lambda_coefficients(cfg.schedule, depth)
-    delta = float(np.linalg.norm(g.features[v] - edited.features[v]))
+    # the engine's kernel: a displacement that overflows is inf, silently, as
+    # in the depth-1 table, and the report's exact distance reports it
+    delta = float(cdist_euclidean(g.features[v:v + 1], edited.features[v:v + 1])[0, 0])
     bound = np.dot(lams, widths.astype(np.float64)) * delta
     return edited, p, bound, (widths,), lams
 

@@ -40,6 +40,7 @@ if __name__ == "__main__":
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 
@@ -198,6 +199,22 @@ def cmd_shift(args):
                         threads=args.threads)
 
 
+def _sample_pairs(n, count, seed):
+    """min(count, n(n-1)/2) distinct pairs (i, j), i < j < n, drawn with
+    `seed`, in lexicographic order. Each drawn index into the lexicographic
+    list of all pairs is decoded in closed form, so the list is never built.
+    """
+    total = n * (n - 1) // 2
+    chosen = np.random.default_rng(seed).choice(total, size=min(count, total), replace=False)
+    pairs = []
+    for k in sorted(chosen.tolist()):
+        # rows i > n - 2 - t hold the last t(t+1)/2 pairs
+        t = (math.isqrt(8 * (total - 1 - k) + 1) - 1) // 2
+        i = n - 2 - t
+        pairs.append((i, k - i * (2 * n - i - 1) // 2 + i + 1))
+    return pairs
+
+
 def cmd_lipschitz(args):
     from .gnn import (empirical_lipschitz, lipschitz_check, load_model_json,
                       matching_config, pearson_r)
@@ -216,17 +233,10 @@ def cmd_lipschitz(args):
         if not args.data:
             raise ConfigError("need --graph-a/--graph-b or --data")
         ds = load_dataset(args.data, args.name)
-        n = len(ds)
-        if n < 2:
+        if len(ds) < 2:
             raise ConfigError("need at least two graphs to sample pairs")
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        rng = np.random.default_rng(args.seed)
-        take = min(args.pairs, len(all_pairs))
-        chosen = rng.choice(len(all_pairs), size=take, replace=False)
-        pairs = [
-            (ds[i], ds[j], str(i), str(j))
-            for i, j in (all_pairs[int(c)] for c in sorted(chosen))
-        ]
+        pairs = [(ds[i], ds[j], str(i), str(j))
+                 for i, j in _sample_pairs(len(ds), args.pairs, args.seed)]
     for ga, gb, ia, ib in pairs:
         chk = lipschitz_check(model, ga, gb, cfg)
         entry = {"a": ia, "b": ib}

@@ -379,13 +379,22 @@ def _check_pair(a, b):
 
 def tree_distance(ga, u, gb, v, depth, cfg):
     """Distance between the depth-`depth` trees rooted at input node u of ga
-    and input node v of gb: their cell of the pair's last table."""
+    and input node v of gb: their cell of the pair's last table.
+
+    The pair is put in (record key, node position) order, as
+    `pair_distances` orders by record key, so the value is bitwise
+    symmetric: equal keys build equal tables, and the cell read is the same
+    either way.
+    """
     check_node(ga, u)
     check_node(gb, v)
     local = TmdConfig(depth, cfg.schedule, cfg.mode)
     a, b = prepare_graph(ga), prepare_graph(gb)
     _check_pair(a, b)
-    return float(_batch_tables([(a, b)], local)[0][-1][a.pos[u] * (b.node_count + 1) + b.pos[v]])
+    i, j = int(a.pos[u]), int(b.pos[v])
+    if (b.key, j) < (a.key, i):
+        a, b, i, j = b, a, j, i
+    return float(_batch_tables([(a, b)], local)[0][-1][i * (b.node_count + 1) + j])
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 """Closed-form edit bounds: frozen hand values, tightness cases, fuzz."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,16 @@ def test_perturb_dimension_mismatch():
     g = load_fixture("path3")
     with pytest.raises(ValueError):
         node_perturbation_bound(g, 0, [1.0, 2.0], unit_cfg(2))
+
+
+def test_perturb_overflow_raises_config_error_without_numpy_warning():
+    # the displacement overflows to inf silently, as the depth-1 table does,
+    # and the exact distance's overflow check reports it
+    g = load_fixture("path3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="overflow"):
+            node_perturbation_bound(g, 0, [1e200], unit_cfg(2))
 
 
 # --- report shape ---

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -483,6 +484,31 @@ def test_lipschitz_sampled_pairs(two_cluster_dir, tmp_path):
     assert rep["empirical_lipschitz"] is not None
     assert rep["empirical_lipschitz"] <= rep["lipschitz_product"] * (1 + 1e-9)
     assert rep["config"]["depth"] == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 59])
+def test_lipschitz_pair_sample_equals_the_enumerated_list(n):
+    every = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for seed in range(5):
+        for count in (1, 5, 50, len(every) + 1):
+            take = min(count, len(every))
+            chosen = np.random.default_rng(seed).choice(len(every), size=take, replace=False)
+            assert cli_module._sample_pairs(n, count, seed) == [every[c] for c in sorted(chosen)]
+
+
+def test_lipschitz_pair_sample_does_not_list_every_pair():
+    # the list of all 1,999,000 pairs alone would trace about 200 MB; a
+    # first draw loads numpy.random (about 1 MB) before tracing starts
+    cli_module._sample_pairs(3, 1, 0)
+    tracemalloc.start()
+    try:
+        pairs = cli_module._sample_pairs(2000, 50, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(pairs)) == 50
+    assert all(0 <= i < j < 2000 for i, j in pairs)
+    assert peak < 1 << 20
 
 
 def test_lipschitz_needs_pair_or_data(tmp_path):

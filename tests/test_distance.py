@@ -153,6 +153,17 @@ def test_path3_center_vs_leaf_tree_distance():
         tree_norm(p3, 0.5, 2, cfg(2))
 
 
+@pytest.mark.filterwarnings("ignore:.*all-zero feature vectors:RuntimeWarning")
+def test_tree_distance_bitwise_symmetric_in_mean_mode():
+    # read in the caller's order, the two orders of this pair differed in the
+    # last bit (0x1.b425ed097b425p-1 against 0x1.b425ed097b426p-1)
+    ga = AttributedGraph(np.array([[0.5], [0.0], [0.0]]), [(0, 2), (1, 2)])
+    gb = AttributedGraph(np.array([[0.5], [0.0], [-0.5], [0.0], [0.5], [0.5]]),
+                         [(0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
+    c = TmdConfig(3, pascal_weights(4), "mean")
+    assert tree_distance(ga, 0, gb, 3, 3, c).hex() == tree_distance(gb, 3, ga, 0, 3, c).hex()
+
+
 def test_isolated_node_norm_is_feature_norm_any_depth():
     g = AttributedGraph(np.array([[3.0, 4.0]]), [])
     for L in (1, 2, 5):
@@ -446,22 +457,25 @@ def test_tables_bitwise_equal_per_cell_reference(mode):
     for schedule in (constant_weights(0.7), pascal_weights(4)):
         c = TmdConfig(4, schedule, mode)
         for ga, gb in _differential_pairs():
-            for a, b in ((ga, gb), (gb, ga)):
-                want = reference_tables(a, b, c)
+            pairs = ((ga, gb), (gb, ga))
+            wants = [reference_tables(a, b, c) for a, b in pairs]
+            for (a, b), want, back in zip(pairs, wants, wants[::-1]):
                 assert [t.tobytes() for t in _pair_tables(a, b, c)] == \
                     [t.tobytes() for t in want]
                 # tree_distance builds a pair's tables per call: every cell of
-                # a small pair, one cell a depth of a larger one, each at its
-                # input nodes' positions
-                pa = distance_module.prepare_graph(a).pos
-                pb = distance_module.prepare_graph(b).pos
-                for depth, ref in enumerate(want, start=1):
+                # a small pair, one cell a depth of a larger one, each read in
+                # the pair's (record key, node position) order
+                ra, rb = (distance_module.prepare_graph(g) for g in (a, b))
+                for depth in range(1, len(want) + 1):
                     cells = [(u, v) for u in range(a.node_count) for v in range(b.node_count)]
                     if len(cells) > 64:
                         cells = [(depth % a.node_count, 3 * depth % b.node_count)]
                     for u, v in cells:
+                        i, j = ra.pos[u], rb.pos[v]
+                        ref = (back[depth - 1][j, i] if (rb.key, j) < (ra.key, i)
+                               else want[depth - 1][i, j])
                         got_cell = tree_distance(a, u, b, v, depth, c)
-                        assert np.float64(got_cell).tobytes() == ref[pa[u], pb[v]].tobytes()
+                        assert np.float64(got_cell).tobytes() == ref.tobytes()
             for depth in (1, 2, 3, 4):
                 cd = TmdConfig(depth, schedule, mode)
                 want = reference_tmd(ga, gb, cd)

@@ -64,6 +64,7 @@ from test_tudataset import write_dataset
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
 SIGNED = (-1.0, -0.0, 0.0, 1.0)
+HALVES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 QUARTERS = tuple(i / 4 for i in range(-4, 5)) + (-0.0,)
 SCHEDULES = (constant_weights(0.7), pascal_weights(4))
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -249,6 +250,20 @@ def test_sum_mode_metric_axioms(data):
     assert tmd(a, a, cfg) == 0.0
     ac = tmd(a, c, cfg)
     assert ac <= ab + tmd(b, c, cfg) + 1e-9 * max(1.0, ac)
+
+
+@ZERO_ROWS
+@PROPERTY
+@given(st.data())
+def test_tree_distance_bitwise_symmetric(data):
+    ga = data.draw(graphs(min_nodes=1, dim=1, max_nodes=8, values=HALVES))
+    gb = data.draw(st.one_of(st.just(ga), graphs(min_nodes=1, dim=1, max_nodes=8,
+                                                  values=HALVES)))
+    c = data.draw(configs())
+    for u in range(ga.node_count):
+        for v in range(gb.node_count):
+            assert tree_distance(ga, u, gb, v, c.depth, c).hex() == \
+                tree_distance(gb, v, ga, u, c.depth, c).hex()
 
 
 @ZERO_ROWS
