@@ -3,10 +3,10 @@
 Subcommands: dist, gram, knn, cluster, shift, lipschitz, perturb, wl.
 Each handler returns its result, a report or a distance matrix, and `main`
 writes it to --out: matrices as CSV (with a `# config:` provenance header),
-reports as JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O or
-malformed input files, 3 invalid configuration. Every input kind (graph,
-dataset and model JSON, the benchmark text layout, label files and distance
-CSVs) names `path` or `path:line` in its errors.
+reports as JSON. Exit codes: 0 success, 1 argument parsing, 2 I/O,
+malformed input files or memory running out, 3 invalid configuration.
+Every input kind (graph, dataset and model JSON, the benchmark text layout,
+label files and distance CSVs) names `path` or `path:line` in its errors.
 
 The `tmd` process runs BLAS single-threaded (see `launcher`): the `tmd`
 script and `python -m treemover.cli` both set `OPENBLAS_NUM_THREADS=1`,
@@ -400,6 +400,9 @@ def main(argv=None):
         return 1
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # exit 2 as for a dead matrix worker, at any --threads
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return 2
     except (ValueError, IndexError) as exc:  # IndexError: graphs.check_node
         print(f"error: {exc}", file=sys.stderr)

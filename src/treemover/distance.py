@@ -417,18 +417,18 @@ def tree_norm_levels(g, depth, cfg):
     The norm of a tree is its distance to the blank tree: the root feature
     norm plus the weighted (mode-scaled) sum of child tree norms. Raises
     ConfigError for a depth below 1, and naming the first depth whose norms
-    overflow.
+    overflow; warns if g has an all-zero feature vector.
     """
-    return prepared_norm_levels(prepare_graph(g), TmdConfig(depth, cfg.schedule, cfg.mode))
+    local = TmdConfig(depth, cfg.schedule, cfg.mode)
+    p = prepare_graph(g)
+    warn_zero_features(int(p.zero_features), 1)
+    return prepared_norm_levels(p, local)
 
 
 def tree_norm(g, v, depth, cfg):
     """Distance between the depth-`depth` tree at input node v and the blank tree."""
     check_node(g, v)
-    local = TmdConfig(depth, cfg.schedule, cfg.mode)
-    p = prepare_graph(g)
-    warn_zero_features(int(p.zero_features), 1)
-    return float(prepared_norm_levels(p, local)[-1][v])
+    return float(tree_norm_levels(g, depth, cfg)[-1][v])
 
 
 def tmd(ga, gb, cfg):

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import prepare_graph, prepared_tmd
-from .graphs import DatasetFormatError, group_indices, load_json, number_array, write_json
-from .schedule import (ConfigError, TmdConfig, pascal_weights, pascal_weights_scaled,
-                       positive_finite)
+from .graphs import (DatasetFormatError, group_indices, load_json, number_array, paired,
+                     write_json)
+from .schedule import (ConfigError, TmdConfig, check_mode, pascal_weights,
+                       pascal_weights_scaled, positive_finite)
 
 
 def spectral_norm(w):
@@ -50,9 +51,6 @@ class GinLayer:
     weight: np.ndarray
     bias: np.ndarray
     neighbor_weight: np.ndarray = None
-
-
-_AGGREGATIONS = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -120,10 +118,7 @@ def make_gin(layers, readout, epsilon=1.0, aggregation="sum"):
     """Validate dimensions and assemble a model with its Lipschitz constants."""
     if not layers:
         raise ValueError("model needs at least one layer")
-    if aggregation not in _AGGREGATIONS:
-        raise ConfigError(
-            f"aggregation must be one of {_AGGREGATIONS}, got {aggregation!r}"
-        )
+    aggregation = check_mode(aggregation, "aggregation")
     epsilon = positive_finite("epsilon", number_array(epsilon, "epsilon", ndim=0))
     layers = tuple(_as_layer(*_layer_tuple(l)) for l in layers)
     readout = _as_layer(*_layer_tuple(readout))
@@ -274,10 +269,7 @@ def lipschitz_check(model, ga, gb, cfg=None):
 
 def empirical_lipschitz(displacements, distances):
     """Largest displacement/distance ratio over pairs with nonzero distance."""
-    h = np.asarray(displacements, dtype=np.float64).reshape(-1)
-    d = np.asarray(distances, dtype=np.float64).reshape(-1)
-    if h.shape != d.shape:
-        raise ValueError(f"length mismatch: {h.shape[0]} vs {d.shape[0]}")
+    h, d = paired(displacements, distances, np.float64)
     if h.size == 0:
         raise ValueError("need at least one pair")
     if np.any(h < 0) or np.any(d < 0):
@@ -290,10 +282,7 @@ def empirical_lipschitz(displacements, distances):
 
 def pearson_r(x, y):
     """Sample Pearson correlation; errors on constant or mismatched input."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    x, y = paired(x, y, np.float64)
     if x.size < 2:
         raise ValueError("need at least two points")
     dx = x - x.mean()

@@ -187,6 +187,17 @@ def number_array(x, name, ndim=None):
     raise ValueError(f"{name} must be {'a number' if ndim == 0 else 'numbers'}")
 
 
+def paired(x, y, dtype=None):
+    """x and y as 1-D arrays of `dtype`; ValueError unless they have equal
+    lengths: the one rule of paired samples (labelings, displacements
+    against distances)."""
+    x = np.asarray(x, dtype=dtype).reshape(-1)
+    y = np.asarray(y, dtype=dtype).reshape(-1)
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    return x, y
+
+
 def perturb_feature(g, v, x):
     """Replace node v's feature vector with x, a vector of the graph's
     dimension of numbers (`number_array`)."""

@@ -13,12 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import paired
+from .matrix import square_values
+from .schedule import integral
 
-def _as_matrix(d):
-    values = d.values if hasattr(d, "values") else np.asarray(d, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"distance matrix must be 2-D, got shape {values.shape}")
-    return np.asarray(values, dtype=np.float64)
+
+def _check_k(k, top):
+    """k as an int; ValueError unless it is `integral` and in 1..top."""
+    i = integral(k)
+    if i is None or not 1 <= i <= top:
+        raise ValueError(f"k must lie in 1..{top}, got {k}")
+    return i
 
 
 def knn_classify(distances, labels, k):
@@ -32,8 +37,7 @@ def knn_classify(distances, labels, k):
     labels = np.asarray(labels)
     if d.shape[0] != labels.shape[0]:
         raise ValueError(f"{d.shape[0]} distances vs {labels.shape[0]} labels")
-    if not (1 <= k <= d.shape[0]):
-        raise ValueError(f"k must lie in 1..{d.shape[0]}, got {k}")
+    k = _check_k(k, d.shape[0])
     order = np.argsort(d, kind="stable")[:k]
     votes = {}
     for idx in order:
@@ -46,15 +50,12 @@ def knn_classify(distances, labels, k):
 
 def loo_knn_accuracy(d, labels, k):
     """Leave-one-out accuracy of k-NN on a square self-distance matrix."""
-    values = _as_matrix(d)
+    values = square_values(d)
     n = values.shape[0]
-    if values.shape[1] != n:
-        raise ValueError(f"need a square matrix, got shape {values.shape}")
     labels = np.asarray(labels)
     if labels.shape[0] != n:
         raise ValueError(f"{n} rows vs {labels.shape[0]} labels")
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
+    k = _check_k(k, n - 1)
     hits = 0
     for i in range(n):
         rest = [j for j in range(n) if j != i]
@@ -88,12 +89,9 @@ def kmedoids(d, k, seed, max_iter=100):
     is stable. The objective (summed distance to assigned medoids) never
     increases across iterations.
     """
-    values = _as_matrix(d)
+    values = square_values(d)
     n = values.shape[0]
-    if values.shape[1] != n:
-        raise ValueError(f"need a square matrix, got shape {values.shape}")
-    if not (1 <= k <= n):
-        raise ValueError(f"k must lie in 1..{n}, got {k}")
+    k = _check_k(k, n)
     rng = np.random.default_rng(seed)
     medoids = [int(rng.integers(n))]
     while len(medoids) < k:
@@ -135,13 +133,18 @@ def _entropy(counts, total):
     return float(-(p * np.log(p)).sum())
 
 
-def _contingency(a, b):
+def _contingency(labels_true, labels_pred):
+    """The size of two labelings, equal (`paired`) and non-empty, and their
+    contingency table."""
+    a, b = paired(labels_true, labels_pred)
+    if a.size == 0:
+        raise ValueError("labels must be non-empty")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1))
     for i, j in zip(ai, bi):
         table[i, j] += 1
-    return table
+    return a.size, table
 
 
 def nmi(labels_true, labels_pred):
@@ -150,14 +153,7 @@ def nmi(labels_true, labels_pred):
     1.0 when the partitions match up to relabelling; 0.0 when independent.
     Two trivial single-cluster partitions count as identical (1.0).
     """
-    a = np.asarray(labels_true).reshape(-1)
-    b = np.asarray(labels_pred).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.size == 0:
-        raise ValueError("labels must be non-empty")
-    table = _contingency(a, b)
-    n = a.size
+    n, table = _contingency(labels_true, labels_pred)
     ha = _entropy(table.sum(axis=1), n)
     hb = _entropy(table.sum(axis=0), n)
     if ha == 0.0 and hb == 0.0:
@@ -177,14 +173,7 @@ def completeness_score(labels_true, labels_pred):
     Follows the convention that a constant prediction (H(pred) = 0) is
     trivially complete.
     """
-    a = np.asarray(labels_true).reshape(-1)
-    b = np.asarray(labels_pred).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.size == 0:
-        raise ValueError("labels must be non-empty")
-    table = _contingency(a, b)
-    n = a.size
+    n, table = _contingency(labels_true, labels_pred)
     hb = _entropy(table.sum(axis=0), n)
     if hb == 0.0:
         return 1.0

@@ -43,17 +43,22 @@ class DistanceMatrix:
         return self.row_ids == self.col_ids
 
 
+def square_values(d):
+    """The values of d, a DistanceMatrix or an array, as float64; ValueError
+    unless they are 2-D and square: the one square rule of every reader of a
+    self-distance matrix (the gram matrix, k-NN and k-medoids)."""
+    values = np.asarray(d.values if isinstance(d, DistanceMatrix) else d, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {values.shape}")
+    return values
+
+
 def gram_matrix(dm, gamma):
     """Gaussian kernel K = exp(-gamma * D) from a square self-distance matrix."""
-    if not isinstance(dm, DistanceMatrix):
-        dm = DistanceMatrix(np.asarray(dm),
-                            [str(i) for i in range(np.asarray(dm).shape[0])],
-                            [str(i) for i in range(np.asarray(dm).shape[1])])
     gamma = positive_finite("gamma", gamma)
-    if dm.values.shape[0] != dm.values.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {dm.values.shape}")
+    values = square_values(dm)
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
-        return np.exp(-gamma * dm.values)
+        return np.exp(-gamma * values)
 
 
 def save_distance_csv(path, dm, extra=None):

@@ -42,17 +42,35 @@ class TransportPlan:
     normalized: bool = False
 
 
+def _finite_non_negative(x, name):
+    """ValueError naming `name` unless every entry of array x is finite and
+    non-negative: the one value rule of costs, marginals and norms."""
+    if x.size and not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    if x.size and x.min() < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def _check_cost(c, square=False):
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {c.shape}")
     if square and c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
-    if c.size and not np.all(np.isfinite(c)):
-        raise ValueError("cost matrix must be finite")
-    if c.size and c.min() < 0:
-        raise ValueError("cost matrix must be non-negative")
+    _finite_non_negative(c, "cost matrix")
     return c
+
+
+def _check_sides(c, row, col, name, matrix):
+    """row and col, the side vectors of the m x n matrix c (marginals or
+    blank norms), as float64 vectors; ValueError unless their lengths are m
+    and n (naming `name` and `matrix`) and `_finite_non_negative` holds."""
+    a, b = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (row, col))
+    if (a.shape[0], b.shape[0]) != c.shape:
+        raise ValueError(f"{name} lengths ({a.shape[0]}, {b.shape[0]}) do not match "
+                         f"{matrix} shape {c.shape}")
+    _finite_non_negative(np.concatenate([a, b]), name + "s")
+    return a, b
 
 
 def solve_assignment(cost):
@@ -199,17 +217,8 @@ def solve_transport(cost, row_mass, col_mass):
     2**40 and more are solved scaled exactly by a power of two.
     """
     c = _check_cost(cost)
-    a = np.asarray(row_mass, dtype=np.float64).reshape(-1)
-    b = np.asarray(col_mass, dtype=np.float64).reshape(-1)
+    a, b = _check_sides(c, row_mass, col_mass, "marginal", "cost")
     m, n = c.shape
-    if a.shape[0] != m or b.shape[0] != n:
-        raise ValueError(
-            f"marginal lengths ({a.shape[0]}, {b.shape[0]}) do not match cost shape {c.shape}"
-        )
-    if (a.size and not np.all(np.isfinite(a))) or (b.size and not np.all(np.isfinite(b))):
-        raise ValueError("marginals must be finite")
-    if (a.size and a.min() < 0) or (b.size and b.min() < 0):
-        raise ValueError("marginals must be non-negative")
     ta, tb = float(a.sum()), float(b.sum())
     if abs(ta - tb) > 1e-9 * max(1.0, ta, tb):
         raise ValueError(f"marginal masses differ: {ta} vs {tb}")
@@ -252,22 +261,9 @@ def augmented_ot(core, row_norms, col_norms, normalized=False):
     divided by the padded size when `normalized` is set.
     """
     c = _check_cost(core)
-    rn = np.asarray(row_norms, dtype=np.float64).reshape(-1)
-    cn = np.asarray(col_norms, dtype=np.float64).reshape(-1)
-    m, n = c.shape
-    if rn.shape[0] != m or cn.shape[0] != n:
-        raise ValueError(
-            f"norm vector lengths ({rn.shape[0]}, {cn.shape[0]}) do not match core shape {c.shape}"
-        )
-    for name, vec in (("row", rn), ("col", cn)):
-        if vec.size and (not np.all(np.isfinite(vec)) or vec.min() < 0):
-            raise ValueError(f"{name} norms must be finite and non-negative")
-    s = max(m, n)
-    if s == 0:
-        return TransportPlan(cost=0.0, permutation=np.empty(0, dtype=np.intp),
-                             normalized=normalized)
+    rn, cn = _check_sides(c, row_norms, col_norms, "norm vector", "core")
     plan = solve_assignment(_padded_matrix(c, rn, cn))
-    total = plan.cost / s if normalized else plan.cost
+    total = plan.cost / max(*c.shape, 1) if normalized else plan.cost
     return TransportPlan(cost=float(total), permutation=plan.permutation,
                          normalized=normalized)
 

@@ -166,6 +166,14 @@ def pascal_weights_scaled(depth, scales):
 _MODES = ("sum", "mean")
 
 
+def check_mode(value, name="mode"):
+    """value; ConfigError naming `name` unless it is one of the aggregation
+    modes `_MODES`, which a distance configuration and a GIN share."""
+    if value not in _MODES:
+        raise ConfigError(f"{name} must be one of {_MODES}, got {value!r}")
+    return value
+
+
 def check_depth(depth):
     """depth as an int; ConfigError unless it is `integral` and >= 1."""
     d = integral(depth)
@@ -189,8 +197,7 @@ class TmdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "depth", check_depth(self.depth))
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         max_level = self.schedule.max_level()
         if max_level is not None and self.depth - 1 > max_level:
             raise ConfigError(

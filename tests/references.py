@@ -11,10 +11,13 @@ node order of `distance.prepare_graph` (through `canonical`), a pair's
 
 `reference_tables` and `reference_tmd` are the one reference of the
 distance. Every transport in them, the graph-level one included, goes
-through `_reference_cost`, their only assignment call. The bitwise
-references compute on `canonical` graphs, so they add in the engine's node
-order.
+through `_reference_cost`, their only assignment call. It takes a solver:
+`lsa_cost`, the default, which the engine mirrors, or `enumeration_cost`,
+an exact minimum over every permutation. The bitwise references compute on
+`canonical` graphs, so they add in the engine's node order.
 """
+
+from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -71,11 +74,30 @@ def reference_tree_widths(g, v, depth):
     return np.asarray(widths, dtype=np.int64)
 
 
-def _reference_cost(core, row_norms, col_norms, mean):
+def lsa_cost(c):
+    """The optimal value of square cost matrix c: SciPy's assignment, its
+    entries summed in row order."""
+    rows, cols = linear_sum_assignment(c)
+    return float(c[rows, cols].sum())
+
+
+def enumeration_cost(c):
+    """The optimal value of square cost matrix c by enumeration: each
+    permutation's entries summed in row order, then the minimum."""
+    best = float("inf")
+    for perm in permutations(range(c.shape[0])):
+        total = 0.0
+        for i, j in enumerate(perm):
+            total += c[i, j]
+        best = min(best, total)
+    return float(best)
+
+
+def _reference_cost(core, row_norms, col_norms, mean, solver=lsa_cost):
     """Augmented transport of one child (or root) cost matrix core, padded
-    with the blank's row_norms and col_norms: one assignment over the padded
-    matrix, the norms summed when a side is empty, and 0 for two empty
-    sides."""
+    with the blank's row_norms and col_norms: one `solver` call over the
+    padded matrix, the norms summed when a side is empty, and 0 for two
+    empty sides."""
     m, n = core.shape
     s = max(m, n)
     if s == 0:
@@ -85,17 +107,15 @@ def _reference_cost(core, row_norms, col_norms, mean):
     elif n == 0:
         total = float(row_norms.sum())
     else:
-        c = core if m == n else _padded_matrix(core, row_norms, col_norms)
-        rows, cols = linear_sum_assignment(c)
-        total = float(c[rows, cols].sum())
+        total = solver(core if m == n else _padded_matrix(core, row_norms, col_norms))
     return total / s if mean else total
 
 
-def reference_tables(ga, gb, cfg):
+def reference_tables(ga, gb, cfg, solver=lsa_cost):
     """The depth-1..cfg.depth tables of one pair as (n_a + 1, n_b + 1)
     arrays, the blank last, by one np.ix_ gather and one transport per node
-    pair. Rows and columns are in `canonical` order: input node u of ga is
-    row `prepare_graph(ga).pos[u]`."""
+    pair, solved by `solver`. Rows and columns are in `canonical` order:
+    input node u of ga is row `prepare_graph(ga).pos[u]`."""
     ga, gb = canonical(ga), canonical(gb)
     na, nb = ga.node_count, gb.node_count
     mean = cfg.mode == "mean"
@@ -128,20 +148,22 @@ def reference_tables(ga, gb, cfg):
             for v in range(nb):
                 bv = nbrs_b[v]
                 child = _reference_cost(prev[np.ix_(au, bv)], prev[au, nb],
-                                        prev[na, bv], mean)
+                                        prev[na, bv], mean, solver)
                 cur[u, v] = base[u, v] + w * child
         tables.append(cur)
     return tables
 
 
-def reference_tmd(ga, gb, cfg):
+def reference_tmd(ga, gb, cfg, solver=lsa_cost):
     """`tmd`: the pair in `prepare_graph` key order, and the graph-level
-    transport of its root trees over the last `reference_tables` table."""
+    transport of its root trees over the last `reference_tables` table,
+    every transport solved by `solver`."""
     if prepare_graph(gb).key < prepare_graph(ga).key:
         ga, gb = gb, ga
     na, nb = ga.node_count, gb.node_count
-    last = reference_tables(ga, gb, cfg)[-1]
-    return _reference_cost(last[:na, :nb], last[:na, nb], last[na, :nb], cfg.mode == "mean")
+    last = reference_tables(ga, gb, cfg, solver)[-1]
+    return _reference_cost(last[:na, :nb], last[:na, nb], last[na, :nb], cfg.mode == "mean",
+                           solver)
 
 
 def reference_solve_transport(c, a, b):

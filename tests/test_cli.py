@@ -16,17 +16,25 @@ import pytest
 from treemover import (
     AttributedGraph,
     GraphDataset,
+    TmdConfig,
+    constant_weights,
+    load_dataset_json,
     load_distance_csv,
     loo_knn_accuracy,
+    pairwise_tmd,
     pascal_weights,
     random_gin,
     random_graph,
     save_dataset_json,
     save_graph_json,
     save_model_json,
+    shift_report,
+    standardize_datasets,
 )
+from treemover.graphs import write_json
 import treemover.analysis as analysis_module
 import treemover.cli as cli_module
+import treemover.distance as distance_module
 from treemover.cli import main, parse_weights
 
 from conftest import FIXTURES, fixture_path, molecule18
@@ -438,6 +446,43 @@ def test_shift_of_huge_distances(tmp_path):
                  "--weights", "constant:0.5", "--threads", "1", "--out", str(out)]) == 0
     w1 = json.loads(out.read_text())["entries"][0]["w1"]
     assert 1e19 < w1 < math.inf
+
+
+def _shifted_datasets(tmp_path, count):
+    """`count` dataset JSON files whose features have different means and
+    spreads, so standardizing each alone differs from standardizing all."""
+    paths = []
+    for k in range(count):
+        graphs = [random_graph(3 + i, 0.6, 2, 10 * k + i) for i in range(2 + k)]
+        graphs = [AttributedGraph(g.features * (1 + 2 * k) + 3 * k, g.edges) for g in graphs]
+        paths.append(tmp_path / f"set{k}.json")
+        save_dataset_json(paths[-1], GraphDataset(graphs, name=f"set{k}"))
+    return paths
+
+
+CONFIG_ARGS = ["--depth", "2", "--weights", "constant:0.5"]
+CONFIG = TmdConfig(2, constant_weights(0.5))
+
+
+def test_dist_standardize_uses_both_datasets_statistics(tmp_path):
+    a, b = _shifted_datasets(tmp_path, 2)
+    out = tmp_path / "m.csv"
+    assert main(["dist", "--data", str(a), "--data-b", str(b), *CONFIG_ARGS,
+                 "--standardize", "--out", str(out)]) == 0
+    ds_a, ds_b = standardize_datasets([load_dataset_json(a), load_dataset_json(b)])
+    want = pairwise_tmd(ds_a, ds_b, CONFIG).values
+    assert load_distance_csv(out).values.tobytes() == want.tobytes()
+
+
+def test_shift_standardize_uses_every_datasets_statistics(tmp_path):
+    train, *tests = _shifted_datasets(tmp_path, 3)
+    out = tmp_path / "s.json"
+    assert main(["shift", "--train", str(train), "--test", str(tests[0]),
+                 "--test", str(tests[1]), *CONFIG_ARGS, "--standardize", "--out", str(out)]) == 0
+    ds_train, *ds_tests = standardize_datasets([load_dataset_json(p) for p in [train, *tests]])
+    want = tmp_path / "want.json"
+    write_json(want, shift_report(ds_train, ds_tests, CONFIG))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_shift_test_name_count_mismatch(tmp_path):
@@ -946,6 +991,27 @@ def test_exit_2_when_a_matrix_worker_dies(two_cluster_dir, tmp_path, capsys, mon
     assert run_dist(two_cluster_dir[0], out, ["--threads", "2"]) == 2
     assert capsys.readouterr().err == ("error: a matrix worker process exited with code 7 "
                                        "before sending its rows\n")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads, message, line", [
+    ("1", "", "error: out of memory\n"),
+    ("1", "Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type "
+          "float64", "error: out of memory (Unable to allocate 8.00 GiB for an array with shape "
+                     "(1073741824,) and data type float64)\n"),
+    ("2", "", None),
+], ids=["bare", "numpy", "forked"])
+def test_exit_2_when_memory_runs_out(two_cluster_dir, tmp_path, capsys, monkeypatch, threads,
+                                     message, line):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(distance_module, "_child_costs", exhausted)
+    out = tmp_path / "m.csv"
+    assert run_dist(two_cluster_dir[0], out, ["--threads", threads]) == 2
+    if line is not None:  # a forked child may print its own traceback
+        assert capsys.readouterr().err == line
     assert not out.exists()
     assert multiprocessing.active_children() == []
 

@@ -209,6 +209,7 @@ def _zero_row_calls():
         "tmd": lambda: tmd(g, h, c),
         "tree_distance": lambda: tree_distance(g, 0, h, 0, 2, c),
         "tree_norm": lambda: tree_norm(g, 1, 2, c),
+        "tree_norm_levels": lambda: tree_norm_levels(g, 2, c),
         "pairwise_tmd": lambda: pairwise_tmd(GraphDataset([g, h]), None, c),
         "dataset_w1": lambda: dataset_w1(GraphDataset([g]), GraphDataset([h]), c),
         "shift_report": lambda: shift_report(GraphDataset([h]), [GraphDataset([g])], c),

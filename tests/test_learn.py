@@ -1,6 +1,7 @@
 """Distance-matrix consumers: k-NN, k-medoids, partition quality scores."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from treemover import (
     DistanceMatrix,
     completeness_score,
+    empirical_lipschitz,
+    gram_matrix,
     kmedoids,
     knn_classify,
     loo_knn_accuracy,
     majority_rate,
     nmi,
+    pearson_r,
 )
 
 
@@ -192,6 +196,48 @@ def test_kmedoids_validation():
         kmedoids(d, k=5, seed=0)
     with pytest.raises(ValueError):
         kmedoids(np.zeros((2, 3)), k=1, seed=0)
+
+
+@pytest.mark.parametrize("k", [2.5, True, 1.5])
+def test_k_follows_the_integer_rule(k):
+    # k is an integral value and not a boolean, as every integer the package reads
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    labels = [0, 1, 0]
+    for call, top in ((lambda: knn_classify(d[0], labels, k), 3),
+                      (lambda: loo_knn_accuracy(d, labels, k), 2),
+                      (lambda: kmedoids(d, k, 0), 3)):
+        with pytest.raises(ValueError, match=rf"^k must lie in 1\.\.{top}, got {k}$"):
+            call()
+
+
+@pytest.mark.parametrize("k", [2.0, np.int64(2), np.float32(2)],
+                         ids=["float", "int64", "float32"])
+def test_k_of_integral_value_counts_as_that_integer(k):
+    d = block_matrix((3, 3), within=0.2)
+    labels = block_labels((3, 3))
+    assert knn_classify(d[0], labels, k) == knn_classify(d[0], labels, 2)
+    assert loo_knn_accuracy(d, labels, k) == loo_knn_accuracy(d, labels, 2)
+    assert kmedoids(d, k, 0).medoids == kmedoids(d, 2, 0).medoids
+
+
+@pytest.mark.parametrize("values", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 1))],
+                         ids=["1-D", "rectangular", "3-D"])
+def test_every_square_matrix_reader_names_the_shape(values):
+    message = rf"^need a square matrix, got shape {re.escape(str(values.shape))}$"
+    for call in (lambda: loo_knn_accuracy(values, [0] * len(values), 1),
+                 lambda: kmedoids(values, 1, 0),
+                 lambda: gram_matrix(values, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_every_paired_sample_names_a_length_mismatch():
+    for stat in (nmi, completeness_score, empirical_lipschitz, pearson_r):
+        with pytest.raises(ValueError, match="^length mismatch: 2 vs 3$"):
+            stat([1, 2], [1, 2, 3])
+    for score in (nmi, completeness_score):
+        with pytest.raises(ValueError, match="^labels must be non-empty$"):
+            score([], [])
 
 
 # --- partition scores ---

@@ -6,6 +6,7 @@ problems. They are written first and frozen; the solvers must match them.
 """
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,27 @@ def test_augmented_norm_length_mismatch():
         augmented_ot(np.zeros((2, 2)), [1.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         augmented_ot(np.zeros((2, 2)), [-1.0, 0.0], [0.0, 0.0])
+
+
+# costs, marginals and blank norms share one value rule, and the two side
+# vectors of a transport one length rule
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_assignment([[np.nan]]), "cost matrix must be finite"),
+    (lambda: augmented_ot([[-1.0]], [0.0], [0.0]), "cost matrix must be non-negative"),
+    (lambda: solve_transport([[1.0]], [np.inf], [1.0]), "marginals must be finite"),
+    (lambda: solve_transport([[1.0]], [1.0], [-1.0]), "marginals must be non-negative"),
+    (lambda: solve_transport([[1.0, 2.0]], [1.0], [0.5]),
+     "marginal lengths (1, 1) do not match cost shape (1, 2)"),
+    (lambda: augmented_ot(np.zeros((2, 2)), [1.0], [1.0, 1.0]),
+     "norm vector lengths (1, 2) do not match core shape (2, 2)"),
+    (lambda: augmented_ot(np.zeros((1, 2)), [np.nan], [0.0, 0.0]), "norm vectors must be finite"),
+    (lambda: augmented_ot(np.zeros((1, 2)), [0.0], [0.0, -1.0]),
+     "norm vectors must be non-negative"),
+], ids=["cost-nan", "cost-negative", "marginal-inf", "marginal-negative", "marginal-length",
+        "norm-length", "norm-nan", "norm-negative"])
+def test_transport_inputs_name_the_rule_they_break(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _blank_extended(core, rn, cn, k):

@@ -14,7 +14,10 @@ per-cell reference, `references.reference_tmd`. Every edit bound
 covers its exact distance, which is bitwise `tmd`'s; a Lipschitz check's
 two sides are bitwise `tmd` and the GIN displacement; and `tmd` agrees with
 the naive recursive evaluator on graphs of at most 10 nodes, at depth at
-most 3 (its bitmask assignments make depth 4 on dense graphs slow). In sum
+most 3 (its bitmask assignments make depth 4 on dense graphs slow). The
+reference's two solvers, SciPy's assignment and an enumeration of every
+permutation, agree within 2 ulps on graphs of at most 6 nodes and with the
+naive evaluator, and each finds every planted optimum. In sum
 mode `tmd` is a pseudometric: bitwise symmetric, 0 on a graph and itself,
 and within rounding of the triangle inequality. A matrix's bytes do not
 depend on its worker count (few examples: each one forks). Two
@@ -39,7 +42,7 @@ import copy
 import io
 import json
 import warnings
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -59,7 +62,8 @@ from treemover.distance import pair_distances, prepare_graph
 from treemover.wl import refine_classes
 
 from conftest import FIXTURES
-from references import reference_gin_forward, reference_tmd, reference_tree_widths
+from references import (enumeration_cost, lsa_cost, reference_gin_forward, reference_tmd,
+                        reference_tree_widths)
 from test_tudataset import write_dataset
 
 VALUES = (-1.0, 0.0, 0.5, 1.0)
@@ -236,6 +240,42 @@ def test_tmd_matches_naive_evaluator(data):
     c = data.draw(configs(max_depth=3))
     want = naive_tmd(ga, gb, c)
     assert abs(tmd(ga, gb, c) - want) <= 1e-9 * max(1.0, want)
+
+
+# The two reference solvers add the entries of different optimal plans, so
+# they may differ in the last bits: by at most 2 ulps of the larger value
+# (in 138 of 3,000 examples of this property, none by more than 2), as the
+# engine's values moved with enumeration on the benchmark inputs.
+SOLVER_ULPS = 2
+
+
+@ZERO_ROWS
+@PROPERTY
+@given(st.data())
+def test_reference_solvers_agree(data):
+    dim = data.draw(st.integers(1, 3))
+    ga, gb = (data.draw(graphs(dim=dim, max_nodes=6, values=QUARTERS)) for _ in range(2))
+    c = data.draw(configs())
+    lsa = reference_tmd(ga, gb, c)
+    enumerated = reference_tmd(ga, gb, c, enumeration_cost)
+    assert abs(lsa - enumerated) <= SOLVER_ULPS * np.spacing(max(lsa, enumerated))
+    want = naive_tmd(ga, gb, c)
+    for got in (lsa, enumerated):
+        assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_reference_solvers_find_every_planted_optimum(size):
+    # entries of the planted plan lie below 1 and all others above, so it is
+    # the one optimum; both solvers sum its entries in row order
+    rng = np.random.default_rng(size)
+    for perm in permutations(range(size)):
+        cost = rng.uniform(1.0, 4.0, (size, size))
+        cost[range(size), perm] = rng.uniform(0.0, 1.0, size)
+        want = 0.0
+        for i, j in enumerate(perm):
+            want += cost[i, j]
+        assert lsa_cost(cost) == enumeration_cost(cost) == want
 
 
 @ZERO_ROWS

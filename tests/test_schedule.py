@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from treemover import (ConfigError, TmdConfig, WeightSchedule, constant_weights,
+from treemover import (ConfigError, TmdConfig, WeightSchedule, constant_weights, make_gin,
                        pascal_weights, pascal_weights_scaled)
 from treemover.schedule import PASCAL_MAX_DEPTH, positive_finite
 
@@ -136,6 +136,16 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TmdConfig(6, pascal_weights(4))
     TmdConfig(5, pascal_weights(4))  # needs w(1)..w(4): fine
+
+
+@pytest.mark.parametrize("mode", ["median", "Sum", None])
+def test_distance_mode_and_gin_aggregation_share_one_rule(mode):
+    with pytest.raises(ConfigError, match=rf"^mode must be one of \('sum', 'mean'\), "
+                                          rf"got {re.escape(repr(mode))}$"):
+        TmdConfig(2, constant_weights(1.0), mode)
+    with pytest.raises(ConfigError, match=rf"^aggregation must be one of \('sum', 'mean'\), "
+                                          rf"got {re.escape(repr(mode))}$"):
+        make_gin([(np.eye(1), np.zeros(1))], (np.eye(1), np.zeros(1)), aggregation=mode)
 
 
 def test_schedule_json_roundtrip():
